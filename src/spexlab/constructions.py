@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -201,14 +201,29 @@ def transform(h: PathPartition, i: int, j: int) -> PathPartition:
     return PathPartition(rest + [s1 + 1, s2 - 1])
 
 
+def _replace(
+    sizes: Counter, remove: tuple[int, ...], add: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Parts of the multiset ``sizes`` with ``remove`` taken out and the
+    positive entries of ``add`` put in, non-increasing."""
+    out = sizes.copy()
+    out.subtract(remove)
+    out.update(p for p in add if p > 0)
+    return tuple(sorted(out.elements(), reverse=True))
+
+
 def transform_successors(h: PathPartition) -> list[PathPartition]:
-    """Distinct results of applying one transformation to h."""
-    out = set()
-    q = len(h.parts)
-    for i in range(q):
-        for j in range(q):
-            if i != j and h.parts[i] >= h.parts[j]:
-                out.add(transform(h, i, j).parts)
+    """Distinct results of applying one transformation to h.
+
+    Parts of equal size give equal results, so the loop runs over pairs of
+    distinct sizes (s1 >= s2), not over pairs of parts."""
+    sizes = Counter(h.parts)
+    out = {
+        _replace(sizes, (s1, s2), (s1 + 1, s2 - 1))
+        for s1 in sizes
+        for s2 in sizes
+        if s1 > s2 or (s1 == s2 and sizes[s1] >= 2)
+    }
     return [PathPartition(p) for p in sorted(out, reverse=True)]
 
 
@@ -216,22 +231,20 @@ def transform_predecessors(
     h: PathPartition, s2_cap: int | None = None
 ) -> list[PathPartition]:
     """Partitions one transformation below h; optional cap on the forward
-    step's s2 (thresholds in the monotonicity lemmas grow with s2)."""
+    step's s2 (thresholds in the monotonicity lemmas grow with s2).
+
+    A predecessor either splits a part p >= 2 into (p - 1, 1), undoing a
+    merge with s2 = 1, or turns parts a >= b + 2 into (a - 1, b + 1),
+    undoing a step with s2 = b + 1. Both depend only on the part sizes, so
+    the loops run over distinct sizes."""
+    sizes = Counter(h.parts)
     out = set()
-    parts = h.parts
-    for idx, p in enumerate(parts):
-        if p >= 2 and (s2_cap is None or 1 <= s2_cap):
-            rest = parts[:idx] + parts[idx + 1 :]
-            out.add(PathPartition(rest + (p - 1, 1)).parts)
-    for ia, a in enumerate(parts):
-        for ib, b in enumerate(parts):
-            if ia == ib or a < b + 2:
-                continue
-            if s2_cap is not None and b + 1 > s2_cap:
-                continue
-            rest = [p for k, p in enumerate(parts) if k not in (ia, ib)]
-            out.add(PathPartition(rest + [a - 1, b + 1]).parts)
-    out.discard(parts)
+    if s2_cap is None or s2_cap >= 1:
+        out.update(_replace(sizes, (p,), (p - 1, 1)) for p in sizes if p >= 2)
+    for a in sizes:
+        for b in sizes:
+            if a >= b + 2 and (s2_cap is None or b + 1 <= s2_cap):
+                out.add(_replace(sizes, (a, b), (a - 1, b + 1)))
     return [PathPartition(p) for p in sorted(out, reverse=True)]
 
 

@@ -21,6 +21,7 @@ from .constructions import (
     family_partition,
     fill_partition,
     joined_paths,
+    transform,
     transform_predecessors,
 )
 from .forbidden import ForbiddenSpec, is_free, max_edge_disjoint_l_cycles_at
@@ -32,7 +33,7 @@ from .spectral import (
     check_eigenvector_box,
     check_lower_bound_claim11,
     check_shu_bound,
-    spectral_radius,
+    joined_paths_radius,
     strict_compare,
 )
 
@@ -186,10 +187,8 @@ def _monotonicity_cases(hubs: int, params: dict) -> list[Case]:
         idx += 1
 
         def fn(h=h, i=i, j=j, hubs=hubs, s1=s1, s2=s2, n=n):
-            from .constructions import transform
-
-            hi = spectral_radius(joined_paths(hubs, transform(h, i, j)), STRICT_TOL)
-            lo = spectral_radius(joined_paths(hubs, h), STRICT_TOL)
+            hi = joined_paths_radius(hubs, transform(h, i, j), STRICT_TOL)
+            lo = joined_paths_radius(hubs, h, STRICT_TOL)
             verdict = strict_compare(hi, lo)
             info = {
                 "s1": s1,
@@ -272,8 +271,7 @@ def _suite_claim_3_2(params: dict, threads: int | None) -> SuiteResult:
         def fn(s1=s1, s2=s2, n=n):
             filler = n - 1 - s1 - s2
             h = PathPartition([s1, s2] + [1] * filler)
-            g = joined_paths(1, h)
-            est = spectral_radius(g, STRICT_TOL)
+            est = joined_paths_radius(1, h, STRICT_TOL)
             rho, x = est.rho, est.perron_max
             if abs(x[0] - 1.0) > eps:
                 return "fail", {"reason": "hub entry not maximal"}
@@ -543,10 +541,10 @@ def _dominance_cases(theorem: str, params: dict) -> list[Case]:
                 frontier = nxt
 
             def fn(spec=spec, h_star=h_star, siblings=tuple(siblings), hubs=hubs):
-                star_est = spectral_radius(joined_paths(hubs, h_star), STRICT_TOL)
+                star_est = joined_paths_radius(hubs, h_star, STRICT_TOL)
                 weakest = math.inf
                 for h in siblings:
-                    sib_est = spectral_radius(joined_paths(hubs, h), STRICT_TOL)
+                    sib_est = joined_paths_radius(hubs, h, STRICT_TOL)
                     verdict = strict_compare(star_est, sib_est)
                     gap = star_est.rho - sib_est.rho
                     weakest = min(weakest, gap)

@@ -6,16 +6,22 @@ for the unit iterate x; for a symmetric matrix some eigenvalue lies within
 residual of rho, and since iterates stay positive and converge toward the
 Perron branch that eigenvalue is the spectral radius. Strict comparisons
 must clear the sum of both residuals or they are reported indeterminate.
+
+Hub-joined path families K_h v (disjoint paths) have an equitable
+partition, so ``joined_paths_radius`` solves their small quotient matrix
+instead of iterating on the whole graph.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
+from .constructions import PathPartition
 from .graph import Graph, complete, disjoint_union, empty_graph, join, path
 from .recognition import is_outerplanar
 
@@ -25,11 +31,16 @@ MAX_ITERATIONS = 10**6
 
 @dataclass
 class SpectralEstimate:
+    """``path`` names the solver that produced the estimate: "power"
+    (float64 iteration only), "polish" (float64 iteration, then the
+    longdouble polish) or "quotient" (``joined_paths_radius``)."""
+
     rho: float
     residual: float
     iterations: int
     perron: np.ndarray
     perron_max: np.ndarray
+    path: str = "power"
 
 
 @dataclass
@@ -52,13 +63,19 @@ class ConvergenceError(RuntimeError):
         self.best = best
 
 
-def adjacency_csr(g: Graph) -> sp.csr_matrix:
+def _edge_index_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the nonzeros of A, both orientations of
+    each edge."""
     ri, ci = [], []
     for u, v in g.edges():
         ri.extend((u, v))
         ci.extend((v, u))
-    data = np.ones(len(ri))
-    return sp.csr_matrix((data, (ri, ci)), shape=(g.n, g.n))
+    return np.asarray(ri, dtype=np.intp), np.asarray(ci, dtype=np.intp)
+
+
+def adjacency_csr(g: Graph) -> sp.csr_matrix:
+    ri, ci = _edge_index_arrays(g)
+    return sp.csr_matrix((np.ones(len(ri)), (ri, ci)), shape=(g.n, g.n))
 
 
 def rayleigh_quotient(g: Graph, x: np.ndarray) -> float:
@@ -85,33 +102,30 @@ def spectral_radius(
     if tol <= 0:
         raise ValueError("tol must be positive")
     comps = g.components()
-    best: tuple[float, float, list[int], np.ndarray] | None = None
+    best: tuple[float, float, list[int], np.ndarray, str] | None = None
     total_iters = 0
     failure: str | None = None
     for comp in comps:
         if len(comp) == 1:
-            rho_c, res_c, x_c, iters = 0.0, 0.0, np.ones(1), 0
+            rho_c, res_c, x_c, iters, path_c = 0.0, 0.0, np.ones(1), 0, "power"
         else:
             sub = g.induced_subgraph(comp)
-            rho_c, res_c, x_c, iters, converged = _power_iterate(
+            rho_c, res_c, x_c, iters, converged, path_c = _power_iterate(
                 sub, tol, max_iterations - total_iters
             )
             if not converged:
                 failure = f"iteration cap {max_iterations} hit"
         total_iters += iters
         if best is None or rho_c > best[0]:
-            best = (rho_c, res_c, comp, x_c)
+            best = (rho_c, res_c, comp, x_c, path_c)
         if failure:
             break
     assert best is not None
-    rho, res, comp, x_c = best
+    rho, res, comp, x_c, path_used = best
     perron = np.zeros(g.n)
     perron[comp] = x_c
-    norm = float(np.linalg.norm(perron))
-    perron = perron / norm if norm else perron
-    top = float(perron.max())
-    perron_max = perron / top if top else perron
-    est = SpectralEstimate(rho, res, total_iters, perron, perron_max)
+    perron, perron_max = _normalized(perron)
+    est = SpectralEstimate(rho, res, total_iters, perron, perron_max, path_used)
     if failure:
         raise ConvergenceError(failure, est)
     return est
@@ -146,38 +160,54 @@ def _power_iterate(g: Graph, tol: float, budget: int):
             res, rho, x = best
             if res > tol and iters < budget:
                 rho, res, x, extra = _polish(g, x, tol, budget - iters)
-                iters += extra
-            return rho, res, np.abs(x), iters, True
+                return rho, res, np.abs(x), iters + extra, True, "polish"
+            return rho, res, np.abs(x), iters, True, "power"
         y = ax + x  # shift by +I keeps the top eigenvalue dominant
         x = y / np.linalg.norm(y)
         iters += 1
     res, rho, x = best
-    return rho, res, np.abs(x), iters, res <= tol
+    return rho, res, np.abs(x), iters, res <= tol, "power"
 
 
-def _edge_index_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    ri, ci = [], []
-    for u, v in g.edges():
-        ri.extend((u, v))
-        ci.extend((v, u))
-    return np.asarray(ri, dtype=np.intp), np.asarray(ci, dtype=np.intp)
+def _normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x scaled to unit 2-norm, and to maximum entry 1."""
+    norm = float(np.linalg.norm(x))
+    x = x / norm if norm else x
+    top = float(x.max())
+    return x, (x / top if top else x)
+
+
+def _rounding_slack(rho, terms: int) -> tuple[float, float]:
+    """float64 rho, and what a residual summed in longdouble must add to
+    bound |lambda - rho64| rather than |lambda - rho|: the distance rho
+    moved when rounded to float64, plus (terms + 2) longdouble ulps of rho
+    for the rounding of (A x)_i - rho x_i when the row sums (A x)_i have
+    up to ``terms`` positive entries."""
+    rho64 = float(rho)
+    ulps = (terms + 2) * np.finfo(np.longdouble).eps * abs(rho)
+    return rho64, float(abs(rho - np.longdouble(rho64)) + ulps)
 
 
 def _longdouble_certificate(ri, ci, x):
     """rho and ||Ax - rho x|| / ||x|| for a float64 x, summed in longdouble.
 
     The adjacency matrix is exactly representable, so the only rounding in
-    the certificate is the longdouble accumulation (~1e-19 relative); the
+    the certificate is the longdouble accumulation (~1e-19 relative; sums
+    use ``.sum()``, since numpy's ``@`` on longdouble arrays loses that
+    precision at n in the thousands); the
     bound |lambda_max - rho| <= residual then holds for the vector x as
-    returned, independent of how x was produced.
+    returned, independent of how x was produced. The residual includes
+    that accumulation and the rounding of rho to float64, so the bound
+    holds for the float64 rho that is returned.
     """
     xl = x.astype(np.longdouble)
     ax = np.zeros(xl.shape[0], dtype=np.longdouble)
     np.add.at(ax, ri, xl[ci])
-    nrm2 = xl @ xl
-    rho = (xl @ ax) / nrm2
+    nrm2 = (xl * xl).sum()
+    rho = (xl * ax).sum() / nrm2
+    rho64, slack = _rounding_slack(rho, int(np.bincount(ri).max()))
     res = math.sqrt(float(((ax - rho * xl) ** 2).sum() / nrm2))
-    return float(rho), res, ax
+    return rho64, res + slack
 
 
 _POLISH_BUDGET = 1000
@@ -193,7 +223,7 @@ def _polish(g: Graph, x: np.ndarray, tol: float, budget: int):
     """
     ri, ci = _edge_index_arrays(g)
     xl = x.astype(np.longdouble)
-    xl /= np.sqrt(xl @ xl)
+    xl /= np.sqrt((xl * xl).sum())
     best = (np.inf, xl)
     since_improvement = 0
     iters = 0
@@ -201,7 +231,7 @@ def _polish(g: Graph, x: np.ndarray, tol: float, budget: int):
     while iters < cap:
         ax = np.zeros(xl.shape[0], dtype=np.longdouble)
         np.add.at(ax, ri, xl[ci])
-        rho = xl @ ax
+        rho = (xl * ax).sum()
         res = np.sqrt(((ax - rho * xl) ** 2).sum())
         if res < best[0]:
             best = (res, xl)
@@ -211,12 +241,107 @@ def _polish(g: Graph, x: np.ndarray, tol: float, budget: int):
         if res <= tol * 0.5 or since_improvement >= 50:
             break
         y = ax + xl
-        xl = y / np.sqrt(y @ y)
+        xl = y / np.sqrt((y * y).sum())
         iters += 1
     x64 = np.asarray(best[1], dtype=float)
     x64 /= np.linalg.norm(x64)
-    rho, res, _ = _longdouble_certificate(ri, ci, x64)
+    rho, res = _longdouble_certificate(ri, ci, x64)
     return rho, res, x64, iters
+
+
+_QUOTIENT_STEPS = 50
+
+
+def joined_paths_radius(
+    hubs: int, h: PathPartition, tol: float = DEFAULT_TOL
+) -> SpectralEstimate:
+    """rho of ``joined_paths(hubs, h)`` from its equitable quotient, without
+    building the graph.
+
+    The hubs form one cell and each (path length, position) pair another,
+    whose size is the number of parts of that length. In the quotient Q,
+    Q[i, j] counts the neighbours in cell j of a vertex in cell i; its
+    Perron root is rho(G) and its Perron vector y lifts to that of A
+    (Godsil & Royle, *Algebraic Graph Theory*, 9.3; Brouwer & Haemers,
+    *Spectra of Graphs*, 2.3). Q has 1 + (sum of the distinct part sizes)
+    rows; a dense float64 ``eigh`` of its symmetrization D^1/2 Q D^-1/2
+    (D = diag of the cell sizes) gives y, and shifted steps with the exact
+    integer Q refine it in longdouble. ``iterations`` counts those steps.
+    The ``eigh`` is cubic in the number of rows: microseconds for the
+    paper's families (about 20 rows), seconds for one path of 3000.
+
+    Because A P = P Q for the cell indicator matrix P, the certificate
+    ||A x - rho x|| / ||x|| of the lifted x = P y is computed in O(cells)
+    as sqrt(sum_k c_k ((Q y)_k - rho y_k)^2 / sum_k c_k y_k^2), and the
+    longdouble and float64 rounding of rho are added to it. The Perron vectors are in
+    the vertex order of ``joined_paths``: hubs, then ``h.parts`` in order,
+    each path from one end to the other. Raises ``ConvergenceError`` when
+    the residual cannot reach ``tol``.
+    """
+    if hubs not in (1, 2):
+        raise ValueError("hubs must be 1 or 2")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    sizes = Counter(h.parts)  # distinct lengths, largest first
+    lengths = list(sizes)
+    cells = np.array([hubs] + [sizes[L] for L in lengths for _ in range(L)])
+    # link[k] = 1 when path cells k and k + 1 are consecutive positions of
+    # one path length (path cells are numbered from 0, after the hub cell)
+    link = np.ones(max(len(cells) - 2, 0))
+    link[np.cumsum(lengths[:-1], dtype=np.intp) - 1] = 0
+
+    def apply_q(y):
+        qy = np.empty_like(y)
+        qy[0] = (hubs - 1) * y[0] + (cells[1:] * y[1:]).sum()
+        qy[1:] = hubs * y[0]
+        qy[2:] += link * y[1:-1]
+        qy[1:-1] += link * y[2:]
+        return qy
+
+    top = len(cells) - 1
+    sym = np.zeros((top + 1, top + 1))
+    sym[0, 0] = hubs - 1
+    sym[0, 1:] = sym[1:, 0] = np.sqrt(hubs * cells[1:])
+    k = np.arange(1, top)
+    sym[k, k + 1] = sym[k + 1, k] = link
+    w, v = np.linalg.eigh(sym)
+    shift = np.longdouble(w[-1])
+    cl = cells.astype(np.longdouble)
+    link = link.astype(np.longdouble)
+    y = (np.abs(v[:, -1]) / np.sqrt(cells)).astype(np.longdouble)
+    best = None
+    steps = 0
+    while True:
+        qy = apply_q(y)
+        norm2 = (cl * y * y).sum()
+        rho = (cl * y * qy).sum() / norm2
+        res2 = (cl * (qy - rho * y) ** 2).sum() / norm2
+        if best is not None and res2 >= best[0]:
+            break
+        best = (res2, rho, y)
+        if res2 == 0 or steps == _QUOTIENT_STEPS:
+            break
+        # every eigenvalue of Q lies in [-rho, rho], so with the shift near
+        # rho the others lie in about [0, rho + shift) and the steps
+        # converge toward y
+        y = qy + shift * y
+        y /= y.max()
+        steps += 1
+    res2, rho, y = best
+    rho64, slack = _rounding_slack(rho, len(cells))
+    residual = math.sqrt(float(res2)) + slack
+    starts = np.cumsum([1] + lengths[:-1], dtype=np.intp)
+    vertex_cell = np.concatenate(
+        [np.zeros(hubs, dtype=np.intp)]
+        + [np.tile(np.arange(s, s + L), sizes[L]) for s, L in zip(starts, lengths)]
+    )
+    perron, perron_max = _normalized(np.asarray(y, dtype=float)[vertex_cell])
+    est = SpectralEstimate(rho64, residual, steps, perron, perron_max, "quotient")
+    if residual > tol:
+        raise ConvergenceError(
+            f"quotient residual {residual:.3e} above tol {tol:.3e}", est
+        )
+    return est
 
 
 def strict_compare(hi: SpectralEstimate, lo: SpectralEstimate) -> str:

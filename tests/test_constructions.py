@@ -188,6 +188,75 @@ def test_predecessor_s2_cap():
     assert (5, 3) not in capped and (5, 3) in uncapped
 
 
+def brute_successors(h: PathPartition) -> list[PathPartition]:
+    """All-pairs reference for transform_successors: every ordered pair of
+    parts (i, j) with parts[i] >= parts[j]."""
+    out = set()
+    q = len(h.parts)
+    for i in range(q):
+        for j in range(q):
+            if i != j and h.parts[i] >= h.parts[j]:
+                out.add(transform(h, i, j).parts)
+    return [PathPartition(p) for p in sorted(out, reverse=True)]
+
+
+def brute_predecessors(h: PathPartition, s2_cap: int | None = None) -> list[PathPartition]:
+    """All-pairs reference for transform_predecessors."""
+    out = set()
+    parts = h.parts
+    for idx, p in enumerate(parts):
+        if p >= 2 and (s2_cap is None or 1 <= s2_cap):
+            rest = parts[:idx] + parts[idx + 1 :]
+            out.add(PathPartition(rest + (p - 1, 1)).parts)
+    for ia, a in enumerate(parts):
+        for ib, b in enumerate(parts):
+            if ia == ib or a < b + 2:
+                continue
+            if s2_cap is not None and b + 1 > s2_cap:
+                continue
+            rest = [p for k, p in enumerate(parts) if k not in (ia, ib)]
+            out.add(PathPartition(rest + [a - 1, b + 1]).parts)
+    out.discard(parts)
+    return [PathPartition(p) for p in sorted(out, reverse=True)]
+
+
+CAPS = (None, 1, 2, 6)
+
+
+@given(
+    st.lists(st.integers(1, 9), min_size=1, max_size=12).map(PathPartition),
+    st.sampled_from(CAPS),
+)
+@settings(max_examples=300, deadline=None)
+def test_neighbours_match_all_pairs_reference(h, cap):
+    assert transform_predecessors(h, cap) == brute_predecessors(h, cap)
+    assert transform_successors(h) == brute_successors(h)
+
+
+def _family_partitions(n: int) -> list[PathPartition]:
+    return [
+        family_partition(FamilySpec(kind, n, t=t, l=l))
+        for kind in ("k1hop", "k2hp")
+        for t in (2, 3)
+        for l in (3, 4, 5)
+    ]
+
+
+def test_predecessors_match_reference_on_families_at_2000():
+    # the sibling generation of the thm-2/3/4 dominance cases
+    for h in _family_partitions(2000):
+        for cap in CAPS:
+            assert transform_predecessors(h, cap) == brute_predecessors(h, cap)
+
+
+def test_successors_match_reference_on_families():
+    # the all-pairs reference is quadratic in the part count and takes
+    # tens of seconds per call at n = 2000 (about 665 parts), so the same
+    # family shapes are checked at n = 150
+    for h in _family_partitions(150):
+        assert transform_successors(h) == brute_successors(h)
+
+
 def test_transformation_chain():
     h = PathPartition([2, 2])
     chain = transformation_chain_to(h, PathPartition([4]))

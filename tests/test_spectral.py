@@ -3,6 +3,7 @@ bound/box report helpers."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,13 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from helpers import dense_rho, random_connected_graph, random_graph
-from spexlab.constructions import FamilySpec, construct
+from spexlab.constructions import (
+    FamilySpec,
+    PathPartition,
+    construct,
+    family_partition,
+    joined_paths,
+)
 from spexlab.graph import (
     Graph,
     complete,
@@ -31,6 +38,7 @@ from spexlab.spectral import (
     check_eigenvector_box,
     check_lower_bound_claim11,
     check_shu_bound,
+    joined_paths_radius,
     lower_bound_witness,
     rayleigh_quotient,
     spectral_radius,
@@ -83,6 +91,31 @@ def test_exact_charpoly_bracket_and_lapack():
             assert poly_eval(p, Fraction(est.rho) - delta) < 0
 
 
+def exact_enclosure(g: Graph, est: SpectralEstimate) -> bool:
+    """The exact charpoly changes sign on [rho - residual, rho + residual],
+    taken at the float64 est.rho: a root lies within residual of it."""
+    p = charpoly(g)
+    rho, r = Fraction(est.rho), Fraction(est.residual)
+    return poly_eval(p, rho - r) <= 0 <= poly_eval(p, rho + r)
+
+
+def test_polish_certificate_covers_float64_rounding():
+    # below the float64 floor the polish certifies a longdouble rho; the
+    # residual must also cover rounding that rho to the float64 est.rho.
+    # Estimates that stop on the float64 path carry no rounding term at all
+    # (GENERIC_ROUNDING_DEFECTS below), so only polished ones are checked.
+    rnd = random.Random(5)
+    polished = 0
+    for _ in range(30):
+        g = random_connected_graph(rnd, rnd.randint(3, 9), 0.4)
+        est = spectral_radius(g, tol=1e-16)
+        assert abs(est.rho - dense_rho(g)) <= 1e-8
+        if est.path == "polish":
+            polished += 1
+            assert exact_enclosure(g, est)
+    assert polished >= 20
+
+
 def test_closed_forms():
     assert abs(spectral_radius(path(2)).rho - 1.0) <= 1e-10
     assert abs(spectral_radius(cycle(9)).rho - 2.0) <= 1e-10
@@ -131,6 +164,8 @@ def test_tolerance_plumbing():
     big = construct(FamilySpec("k1hop", 2000, t=2, l=5))
     est = spectral_radius(big, tol=1e-13)
     assert est.residual <= 1e-13
+    assert est.path == "polish"
+    assert spectral_radius(big).path == "power"
 
 
 def test_arpack_cross_check():
@@ -225,3 +260,100 @@ def test_eigenvector_box_validation():
         # two dominating hubs but no hub-hub edge
         g = join(empty_graph(2), path(4))
         check_eigenvector_box(g, "hub2")
+
+
+# hub-joined path families through the equitable quotient
+
+
+CROSS_CHECK = [
+    (1, (1, 1)),  # P_3
+    (2, (2,)),  # K_4
+    (1, (4, 4, 2, 2, 1)),
+    (2, (7, 3, 3, 3, 3, 3, 2)),
+    (1, (9, 8, 7, 6, 5, 4, 3, 2, 1)),
+    (2, (17, 11, 5, 2)),
+    (1, (300,)),
+    (2, (1000,)),
+    (1, (1500,)),
+    (1, (5, 3) + (1,) * 511),  # n = 517
+    (2, (40,) * 50 + (7,) * 20 + (1,) * 30),
+    (1, family_partition(FamilySpec("k1hop", 2000, t=2, l=5)).parts),
+    (2, family_partition(FamilySpec("k2hp", 3000, t=3, l=5)).parts),
+    (1, (3,) * 600 + (1,)),
+    (2, (4,) * 700 + (2, 2, 2)),
+]
+# spectral_radius stops on a float64 residual, which does not cover the
+# rounding of its float64 Rayleigh quotient; on these its rho sits outside
+# its own residual, by up to 7.7e-13 at n = 3000
+GENERIC_ROUNDING_DEFECTS = [
+    (1, (2,)),  # K_3 as K1 v P2
+    (2, (1,)),  # K_3 as K2 v P1
+    (2, (600,)),
+    (1, (2999,)),
+]
+ALL_CASES = CROSS_CHECK + GENERIC_ROUNDING_DEFECTS
+CASE_IDS = [f"hub{hubs}-n{sum(parts) + hubs}-q{len(parts)}" for hubs, parts in ALL_CASES]
+
+
+@functools.cache
+def _quotient_and_generic(hubs, parts):
+    h = PathPartition(parts)
+    return (
+        joined_paths_radius(hubs, h, 1e-13),
+        spectral_radius(joined_paths(hubs, h), 1e-13),
+    )
+
+
+@pytest.mark.parametrize("hubs,parts", ALL_CASES, ids=CASE_IDS)
+def test_quotient_vector_matches_generic(hubs, parts):
+    quo, gen = _quotient_and_generic(hubs, parts)
+    assert quo.path == "quotient"
+    assert quo.residual <= 1e-13
+    assert quo.perron.shape == gen.perron.shape == (sum(parts) + hubs,)
+    assert np.abs(quo.perron - gen.perron).max() <= 1e-10
+    assert np.abs(quo.perron_max - gen.perron_max).max() <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "hubs,parts",
+    CROSS_CHECK
+    + [
+        pytest.param(
+            *case,
+            marks=pytest.mark.xfail(
+                strict=True, reason="generic float64 residual omits rounding"
+            ),
+        )
+        for case in GENERIC_ROUNDING_DEFECTS
+    ],
+    ids=CASE_IDS,
+)
+def test_quotient_rho_within_generic_residuals(hubs, parts):
+    quo, gen = _quotient_and_generic(hubs, parts)
+    assert abs(quo.rho - gen.rho) <= quo.residual + gen.residual
+
+
+def test_quotient_exact_charpoly():
+    rnd = random.Random(12)
+    for _ in range(25):
+        hubs = rnd.choice((1, 2))
+        h = PathPartition(rnd.randint(1, 4) for _ in range(rnd.randint(1, 3)))
+        est = joined_paths_radius(hubs, h, 1e-13)
+        g = joined_paths(hubs, h)
+        assert est.residual <= 1e-13
+        assert abs(est.rho - dense_rho(g)) <= 1e-12
+        assert exact_enclosure(g, est)
+
+
+def test_quotient_degenerate_and_errors():
+    assert joined_paths_radius(1, PathPartition([])).rho == 0.0  # K1
+    assert joined_paths_radius(2, PathPartition([])).rho == 1.0  # K2
+    est = joined_paths_radius(1, PathPartition([1] * 15))  # star K_{1,15}
+    assert abs(est.rho - math.sqrt(15)) <= est.residual
+    with pytest.raises(ValueError):
+        joined_paths_radius(3, PathPartition([2]))
+    with pytest.raises(ValueError):
+        joined_paths_radius(1, PathPartition([2]), tol=0)
+    with pytest.raises(ConvergenceError) as err:
+        joined_paths_radius(1, PathPartition([5, 3, 1, 1]), tol=1e-25)
+    assert err.value.best.path == "quotient"
