@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--mode", choices=("exhaustive", "local"), default="exhaustive")
     sp.add_argument("--disconnected", action="store_true", help="drop the connected-only restriction")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     sp.add_argument("--checkpoint", default=None)
     sp.add_argument("--cap", type=int, default=10, help="refuse exhaustive search above this n")
     sp.add_argument("--start-g6", default=None, help="start graph for local mode")
@@ -101,7 +101,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--suite", default=None)
     sp.add_argument("--nmax", type=int, default=None, help="suite size knob where supported")
     sp.add_argument("--param", action="append", default=[], help="extra suite parameter key=value")
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     common(sp)
     sp.set_defaults(handler=_cmd_verify)
 

@@ -164,10 +164,8 @@ def construct(spec: FamilySpec) -> Graph:
     if kind == "jn":
         if n < 2:
             raise ValueError("jn needs n >= 2")
-        g = star(n)
-        for a in range(1, n - 1, 2):
-            g = g.add_edge(a, a + 1)
-        return g
+        pairs, single = divmod(n - 1, 2)
+        return join(complete(1), disjoint_union([path(2)] * pairs + [path(1)] * single))
     if kind == "k2n2":
         if n < 3:
             raise ValueError("k2n2 needs n >= 3")

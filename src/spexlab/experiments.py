@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,7 +27,7 @@ from .forbidden import ForbiddenSpec, is_free, max_edge_disjoint_l_cycles_at
 from .graph import Graph
 from .graph6 import graph6_decode
 from .recognition import is_outerplanar, is_planar
-from .search import SearchConfig, default_threads, enumerate_class, exhaustive_spex
+from .search import SearchConfig, enumerate_class, exhaustive_spex
 from .spectral import (
     check_eigenvector_box,
     check_lower_bound_claim11,
@@ -75,23 +74,10 @@ class SuiteResult:
         )
 
 
-def _run_cases(
-    suite: str, cases: list[Case], threads: int | None, details: dict | None = None
-) -> SuiteResult:
-    workers = threads or default_threads()
-
-    def run(case: Case) -> tuple[str, str, dict]:
-        name, fn = case
+def _run_cases(suite: str, cases: list[Case], details: dict | None = None) -> SuiteResult:
+    result = SuiteResult(suite, len(cases), 0, details=details or {})
+    for name, fn in cases:
         verdict, info = fn()
-        return name, verdict, info
-
-    if workers > 1 and len(cases) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, cases))
-    else:
-        outcomes = [run(c) for c in cases]
-    result = SuiteResult(suite, len(outcomes), 0, details=details or {})
-    for name, verdict, info in outcomes:
         record = {"case": name, **info}
         if verdict == "pass":
             result.passes += 1
@@ -106,7 +92,7 @@ def _run_cases(
 # individual suites
 
 
-def _suite_claim_1_1(params: dict, threads: int | None) -> SuiteResult:
+def _suite_claim_1_1(params: dict) -> SuiteResult:
     ns = params.get("n_values", (10, 25, 50, 100, 400, 1000, 2500, 10000))
     cases: list[Case] = []
     for n in ns:
@@ -121,10 +107,10 @@ def _suite_claim_1_1(params: dict, threads: int | None) -> SuiteResult:
                 return ("pass" if rep.passed else "fail"), info
 
             cases.append((f"n={n},t={t}", fn))
-    return _run_cases("claim-1.1", cases, threads)
+    return _run_cases("claim-1.1", cases)
 
 
-def _suite_lemma_lm2(params: dict, threads: int | None) -> SuiteResult:
+def _suite_lemma_lm2(params: dict) -> SuiteResult:
     nmax = int(params.get("nmax", 7))
     family_ns = params.get("family_ns", (100, 1000, 10000))
     cases: list[Case] = []
@@ -156,9 +142,7 @@ def _suite_lemma_lm2(params: dict, threads: int | None) -> SuiteResult:
             return ("pass" if rep.passed else "fail"), info
 
         cases.append((str(spec), fn))
-    return _run_cases(
-        "lemma-lm2", cases, threads, {"exhaustive_graphs": exhaustive_count}
-    )
+    return _run_cases("lemma-lm2", cases, {"exhaustive_graphs": exhaustive_count})
 
 
 def _monotonicity_cases(hubs: int, params: dict) -> list[Case]:
@@ -207,15 +191,15 @@ def _monotonicity_cases(hubs: int, params: dict) -> list[Case]:
     return cases
 
 
-def _suite_lemma_lm1(params: dict, threads: int | None) -> SuiteResult:
-    return _run_cases("lemma-lm1", _monotonicity_cases(1, params), threads)
+def _suite_lemma_lm1(params: dict) -> SuiteResult:
+    return _run_cases("lemma-lm1", _monotonicity_cases(1, params))
 
 
-def _suite_lemma_lm5(params: dict, threads: int | None) -> SuiteResult:
-    return _run_cases("lemma-lm5", _monotonicity_cases(2, params), threads)
+def _suite_lemma_lm5(params: dict) -> SuiteResult:
+    return _run_cases("lemma-lm5", _monotonicity_cases(2, params))
 
 
-def _suite_claim_3_1(params: dict, threads: int | None) -> SuiteResult:
+def _suite_claim_3_1(params: dict) -> SuiteResult:
     grid = params.get("grid", ((5, 3, 5000), (9, 2, 5000), (5, 3, 12000), (9, 2, 12000)))
     cases: list[Case] = []
     for n1, n2, n in grid:
@@ -233,10 +217,10 @@ def _suite_claim_3_1(params: dict, threads: int | None) -> SuiteResult:
             return ("pass" if rep.passed else "fail"), info
 
         cases.append((f"K1vHOP({n1},{n2})@n={n}", fn))
-    return _run_cases("claim-3.1", cases, threads)
+    return _run_cases("claim-3.1", cases)
 
 
-def _suite_lemma_lm4(params: dict, threads: int | None) -> SuiteResult:
+def _suite_lemma_lm4(params: dict) -> SuiteResult:
     grid = params.get("grid", ((7, 3, 5000),))
     cases: list[Case] = []
     for n1, n2, n in grid:
@@ -254,7 +238,7 @@ def _suite_lemma_lm4(params: dict, threads: int | None) -> SuiteResult:
             return ("pass" if rep.passed else "fail"), info
 
         cases.append((f"K2vHP({n1},{n2})@n={n}", fn))
-    return _run_cases("lemma-lm4", cases, threads)
+    return _run_cases("lemma-lm4", cases)
 
 
 def construct_hop_join(hubs: int, n: int, n1: int, n2: int) -> Graph:
@@ -262,7 +246,7 @@ def construct_hop_join(hubs: int, n: int, n1: int, n2: int) -> Graph:
     return joined_paths(hubs, fill_partition(n - hubs, n1, n2))
 
 
-def _suite_claim_3_2(params: dict, threads: int | None) -> SuiteResult:
+def _suite_claim_3_2(params: dict) -> SuiteResult:
     grid = params.get("grid", ((5, 3, 300), (7, 4, 600), (6, 5, 1400), (9, 6, 3400)))
     eps = float(params.get("eps", 1e-8))
     cases: list[Case] = []
@@ -293,10 +277,10 @@ def _suite_claim_3_2(params: dict, threads: int | None) -> SuiteResult:
             return ("pass" if worst <= eps else "fail"), info
 
         cases.append((f"s1={s1},s2={s2},n={n}", fn))
-    return _run_cases("claim-3.2", cases, threads)
+    return _run_cases("claim-3.2", cases)
 
 
-def _suite_claim_3_3(params: dict, threads: int | None) -> SuiteResult:
+def _suite_claim_3_3(params: dict) -> SuiteResult:
     ls = params.get("ls", (5, 6, 7, 8))
     total_cap = int(params.get("total_cap", 20))
     cases: list[Case] = []
@@ -316,10 +300,10 @@ def _suite_claim_3_3(params: dict, threads: int | None) -> SuiteResult:
                     return ("pass" if got_free == expected_free else "fail"), info
 
                 cases.append((f"l={l},h={h}", fn))
-    return _run_cases("claim-3.3", cases, threads)
+    return _run_cases("claim-3.3", cases)
 
 
-def _suite_claim_3_5(params: dict, threads: int | None) -> SuiteResult:
+def _suite_claim_3_5(params: dict) -> SuiteResult:
     ts = params.get("ts", (2, 3))
     ls = params.get("ls", (3, 4, 5))
     cases: list[Case] = []
@@ -338,10 +322,10 @@ def _suite_claim_3_5(params: dict, threads: int | None) -> SuiteResult:
                     return ("pass" if got_free == expected_free else "fail"), info
 
                 cases.append((f"t={t},l={l},n1={n1}", fn))
-    return _run_cases("claim-3.5", cases, threads)
+    return _run_cases("claim-3.5", cases)
 
 
-def _suite_claim_4_2(params: dict, threads: int | None) -> SuiteResult:
+def _suite_claim_4_2(params: dict) -> SuiteResult:
     ts = params.get("ts", (2, 3))
     ls = params.get("ls", (3, 4, 5))
     cases: list[Case] = []
@@ -368,10 +352,10 @@ def _suite_claim_4_2(params: dict, threads: int | None) -> SuiteResult:
                         return ("pass" if got_free == expected_free else "fail"), info
 
                     cases.append((f"t={t},l={l},n1={n1},n2={n2}", fn))
-    return _run_cases("claim-4.2", cases, threads)
+    return _run_cases("claim-4.2", cases)
 
 
-def _suite_claim_4_3(params: dict, threads: int | None) -> SuiteResult:
+def _suite_claim_4_3(params: dict) -> SuiteResult:
     """Freeness of K2 v H with a long first path, against the corrected
     conjunction: free iff nbar1+n2 <= l-3 and n2+n3 <= l-3. The disjunction
     as once stated diverges on part of the grid; divergences are counted in
@@ -414,9 +398,7 @@ def _suite_claim_4_3(params: dict, threads: int | None) -> SuiteResult:
             return ("pass" if got_free == and_free else "fail"), info
 
         cases.append((f"t={t},l={l},h=[{n1},{n2},{n3}]", fn))
-    return _run_cases(
-        "claim-4.3", cases, threads, {"or_form_divergences": or_divergences}
-    )
+    return _run_cases("claim-4.3", cases, {"or_form_divergences": or_divergences})
 
 
 def _hub_paths_shape(g: Graph) -> bool:
@@ -430,7 +412,7 @@ def _hub_paths_shape(g: Graph) -> bool:
     return False
 
 
-def _suite_thm_1_structure(params: dict, threads: int | None) -> SuiteResult:
+def _suite_thm_1_structure(params: dict) -> SuiteResult:
     n_max = int(params.get("nmax", 7))
     specs = [
         ForbiddenSpec.matching(2),
@@ -460,7 +442,7 @@ def _suite_thm_1_structure(params: dict, threads: int | None) -> SuiteResult:
                 return "pass", info  # report-style: agreement is data, not a gate
 
             cases.append((f"{spec}@n={n}", fn))
-    result = _run_cases("thm-1-structure", cases, threads)
+    result = _run_cases("thm-1-structure", cases)
     result.details["agreement"] = dict(sorted(agreement.items()))
     return result
 
@@ -568,28 +550,28 @@ def _dominance_cases(theorem: str, params: dict) -> list[Case]:
     return cases
 
 
-def _theorem_suite(theorem: str, params: dict, threads: int | None) -> SuiteResult:
+def _theorem_suite(theorem: str, params: dict) -> SuiteResult:
     cases: list[Case] = []
     if params.get("grid", True):
         cases += _soundness_cases(theorem, _family_grid(theorem, params))
     if params.get("dominance", True):
         cases += _dominance_cases(theorem, params)
-    return _run_cases(theorem, cases, threads)
+    return _run_cases(theorem, cases)
 
 
-def _suite_thm_2(params: dict, threads: int | None) -> SuiteResult:
-    return _theorem_suite("thm-2", params, threads)
+def _suite_thm_2(params: dict) -> SuiteResult:
+    return _theorem_suite("thm-2", params)
 
 
-def _suite_thm_3(params: dict, threads: int | None) -> SuiteResult:
-    return _theorem_suite("thm-3", params, threads)
+def _suite_thm_3(params: dict) -> SuiteResult:
+    return _theorem_suite("thm-3", params)
 
 
-def _suite_thm_4(params: dict, threads: int | None) -> SuiteResult:
-    return _theorem_suite("thm-4", params, threads)
+def _suite_thm_4(params: dict) -> SuiteResult:
+    return _theorem_suite("thm-4", params)
 
 
-def _suite_remark_rk111(params: dict, threads: int | None) -> SuiteResult:
+def _suite_remark_rk111(params: dict) -> SuiteResult:
     ns = params.get("n_values", (8, 20, 101))
     ls = params.get("ls", (5, 6, 7, 9))
     cases: list[Case] = []
@@ -621,10 +603,10 @@ def _suite_remark_rk111(params: dict, threads: int | None) -> SuiteResult:
                 return ("pass" if ok else "fail"), {"family": f"K2vHP@l={l},n={n}"}
 
             cases.append((f"clfree:l={l},n={n}", fn_cl))
-    return _run_cases("remark-rk111", cases, threads)
+    return _run_cases("remark-rk111", cases)
 
 
-def _suite_bouquet_semantics(params: dict, threads: int | None) -> SuiteResult:
+def _suite_bouquet_semantics(params: dict) -> SuiteResult:
     """The K2-join families are bouquet-free as subgraphs (cycles pairwise
     sharing exactly the common vertex), yet an edge-disjoint packing of t
     l-cycles at a hub can still exist; such divergences are counted."""
@@ -656,12 +638,12 @@ def _suite_bouquet_semantics(params: dict, threads: int | None) -> SuiteResult:
                     return ("pass" if free else "fail"), info
 
                 cases.append((str(spec), fn))
-    result = _run_cases("bouquet-semantics", cases, threads)
+    result = _run_cases("bouquet-semantics", cases)
     result.details["edge_disjoint_divergences"] = sorted(divergences)
     return result
 
 
-SUITES: dict[str, Callable[[dict, int | None], SuiteResult]] = {
+SUITES: dict[str, Callable[[dict], SuiteResult]] = {
     "claim-1.1": _suite_claim_1_1,
     "lemma-lm2": _suite_lemma_lm2,
     "lemma-lm1": _suite_lemma_lm1,
@@ -705,10 +687,12 @@ SUITE_NOTES: dict[str, str] = {
 def run_suite(
     suite: str, params: dict | None = None, threads: int | None = None
 ) -> SuiteResult:
+    """Run one suite's cases in order. ``threads`` is accepted and ignored:
+    the cases hold the GIL, so a thread pool bought no speed."""
     if suite not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise ValueError(f"unknown suite {suite!r}; known suites: {known}")
-    return SUITES[suite](params or {}, threads)
+    return SUITES[suite](params or {})
 
 
 def traceability(results: list[SuiteResult]) -> tuple[str, dict]:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from .graph import Graph
+from .recognition import to_networkx
 
 _GRAMMAR = re.compile(r"^(?:C(?P<cl>\d+)|B(?P<bt>\d+)x(?P<bl>\d+)|M(?P<mk>\d+))$")
 
@@ -308,10 +309,7 @@ def max_edge_disjoint_l_cycles_at(g: Graph, v: int, l: int, cap: int) -> int:
 
 def maximum_matching(g: Graph) -> list[tuple[int, int]]:
     """A maximum matching as a sorted edge list (witness re-validated)."""
-    G = nx.Graph()
-    G.add_nodes_from(range(g.n))
-    G.add_edges_from(g.edges())
-    m = nx.max_weight_matching(G, maxcardinality=True)
+    m = nx.max_weight_matching(to_networkx(g), maxcardinality=True)
     edges = sorted((min(u, v), max(u, v)) for u, v in m)
     seen = set()
     for u, v in edges:

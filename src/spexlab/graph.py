@@ -12,14 +12,15 @@ class Graph:
 
     Adjacency is stored as one Python int bitset per vertex: bit j of
     ``row(i)`` is 1 iff ij is an edge. Rows must be symmetric and
-    irreflexive. Instances are immutable; all edits produce new graphs.
+    irreflexive; the constructor checks them, while operations that derive
+    a graph from valid graphs build it through ``_derived`` unchecked.
+    Instances are immutable; all edits produce new graphs.
     """
 
     __slots__ = ("n", "_rows", "_hash")
 
     def __init__(self, n: int, rows: Iterable[int]):
-        if n < 0 or n > MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+        _check_order(n)
         rows = tuple(rows)
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
@@ -35,6 +36,19 @@ class Graph:
                 if not rows[j] >> i & 1:
                     raise ValueError(f"asymmetric adjacency at ({i}, {j})")
                 r &= r - 1
+        self._set(n, rows)
+
+    @classmethod
+    def _derived(cls, n: int, rows: Iterable[int]) -> Graph:
+        """Graph on rows that are valid by construction, such as rows
+        derived from valid graphs. Skips the per-row scan of ``__init__``
+        (which stays the check for outside input) but keeps the vertex cap."""
+        _check_order(n)
+        g = object.__new__(cls)
+        g._set(n, tuple(rows))
+        return g
+
+    def _set(self, n: int, rows: tuple[int, ...]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_hash", hash((n, rows)))
@@ -94,7 +108,7 @@ class Graph:
         rows = list(self._rows)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, rows)
+        return Graph._derived(self.n, rows)
 
     def remove_edge(self, u: int, v: int) -> Graph:
         """New graph with edge uv removed; error if absent."""
@@ -104,7 +118,7 @@ class Graph:
         rows = list(self._rows)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        return Graph(self.n, rows)
+        return Graph._derived(self.n, rows)
 
     def _check_pair(self, u: int, v: int) -> None:
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -127,7 +141,7 @@ class Graph:
                 if j is not None:
                     rows[i] |= 1 << j
                 r &= r - 1
-        return Graph(len(vs), rows)
+        return Graph._derived(len(vs), rows)
 
     def relabel(self, perm: Sequence[int]) -> Graph:
         """New graph where old vertex i becomes perm[i]."""
@@ -141,7 +155,7 @@ class Graph:
                 new_row |= 1 << perm[j]
                 r &= r - 1
             rows[perm[i]] = new_row
-        return Graph(self.n, rows)
+        return Graph._derived(self.n, rows)
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, by smallest vertex."""
@@ -169,6 +183,11 @@ class Graph:
         return self.n <= 1 or len(self.components()) == 1
 
 
+def _check_order(n: int) -> None:
+    if n < 0 or n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+
+
 def _bits(mask: int) -> list[int]:
     out = []
     while mask:
@@ -191,7 +210,7 @@ def empty_graph(n: int) -> Graph:
     """n isolated vertices."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return Graph(n, [0] * n)
+    return Graph._derived(n, [0] * n)
 
 
 def path(k: int) -> Graph:
@@ -220,7 +239,7 @@ def complete(k: int) -> Graph:
     if k < 0:
         raise ValueError("k must be non-negative")
     full = (1 << k) - 1
-    return Graph(k, [full & ~(1 << i) for i in range(k)])
+    return Graph._derived(k, [full & ~(1 << i) for i in range(k)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -229,7 +248,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
         raise ValueError("sides must be non-negative")
     left = ((1 << b) - 1) << a
     right = (1 << a) - 1
-    return Graph(a + b, [left] * a + [right] * b)
+    return Graph._derived(a + b, [left] * a + [right] * b)
 
 
 def disjoint_union(graphs: Iterable[Graph]) -> Graph:
@@ -239,7 +258,7 @@ def disjoint_union(graphs: Iterable[Graph]) -> Graph:
     for g in graphs:
         rows.extend(r << offset for r in g.rows())
         offset += g.n
-    return Graph(offset, rows)
+    return Graph._derived(offset, rows)
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -249,7 +268,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
     left = (1 << n1) - 1
     rows = [r | right for r in g1.rows()]
     rows.extend((r << n1) | left for r in g2.rows())
-    return Graph(n1 + n2, rows)
+    return Graph._derived(n1 + n2, rows)
 
 
 def edge_list_text(g: Graph) -> str:

@@ -8,7 +8,16 @@ into 6-bit groups, each offset by 63. Padding bits must be zero.
 
 from __future__ import annotations
 
+import base64
+
 from .graph import MAX_VERTICES, Graph
+
+# graph6 writes a 6-bit group v as byte 63 + v and base64 as the v-th letter
+# of its alphabet, so the body goes through base64 with one byte map.
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6 = bytes(range(63, 127))
+_TO_G6 = bytes.maketrans(_B64, _G6)
+_FROM_G6 = bytes.maketrans(_G6, _B64)
 
 
 class Graph6Error(ValueError):
@@ -36,19 +45,20 @@ def graph6_encode(g: Graph) -> str:
         below = g.row(j) & ((1 << j) - 1)
         chunks.append(format(below, f"0{j}b")[::-1])
     bits = "".join(chunks)
-    if len(bits) % 6:
-        bits += "0" * (6 - len(bits) % 6)
-    body = "".join(
-        chr(63 + int(bits[i : i + 6], 2)) for i in range(0, len(bits), 6)
-    )
-    return header + body
+    nbytes = (len(bits) + 5) // 6
+    bits += "0" * (-len(bits) % 24)  # whole base64 quanta: no '=' padding
+    raw = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    body = base64.b64encode(raw).translate(_TO_G6)[:nbytes]
+    return header + body.decode("ascii")
 
 
 def graph6_decode(s: str) -> Graph:
     data = s.encode("ascii", errors="replace")
-    for i, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b} outside graph6 range 63..126", i)
+    bad = data.translate(None, _G6)  # the bytes outside 63..126, in order
+    if bad:
+        raise Graph6Error(
+            f"byte {bad[0]} outside graph6 range 63..126", data.index(bad[0])
+        )
     if not data:
         raise Graph6Error("empty input", 0)
     pos = 0
@@ -82,7 +92,10 @@ def graph6_decode(s: str) -> Graph:
             f"expected {nbytes} data bytes for n={n}, got {len(data) - pos}",
             min(len(data), pos + nbytes),
         )
-    bits = "".join(format(b - 63, "06b") for b in data[pos:])
+    body = data[pos:].translate(_FROM_G6)
+    body += b"A" * (-len(body) % 4)  # zero groups up to whole base64 quanta
+    value = int.from_bytes(base64.b64decode(body), "big")
+    bits = format(value, f"0{6 * len(body)}b")[: 6 * nbytes]
     if "1" in bits[nbits:]:
         bad = bits.index("1", nbits)
         raise Graph6Error("nonzero padding bit", pos + bad // 6)

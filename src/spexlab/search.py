@@ -11,10 +11,8 @@ individualization (practical for n <= 16).
 from __future__ import annotations
 
 import json
-import os
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
 from typing import Iterator
@@ -40,13 +38,6 @@ class CapExceededError(ValueError):
     """Exhaustive search refused; the guidance is in the message."""
 
 
-def default_threads() -> int:
-    env = os.environ.get("SPEXLAB_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     n_min: int
@@ -56,7 +47,7 @@ class SearchConfig:
     connected_only: bool = True
     mode: str = "exhaustive"
     seed: int = 0
-    threads: int | None = None
+    threads: int | None = None  # accepted and ignored: scoring runs in order
     checkpoint: str | None = None
     exhaustive_cap: int = 10
 
@@ -297,15 +288,9 @@ def _score(g: Graph) -> float:
     return spectral_radius(g).rho
 
 
-def _best_entry(
-    n: int, graphs: list[Graph], stats: dict[str, int], threads: int
-) -> dict:
+def _best_entry(n: int, graphs: list[Graph], stats: dict[str, int]) -> dict:
     t0 = time.monotonic()
-    if threads > 1 and len(graphs) > 64:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rhos = list(pool.map(_score, graphs))
-    else:
-        rhos = [_score(g) for g in graphs]
+    rhos = [_score(g) for g in graphs]
     best = max(rhos, default=0.0)
     certs = sorted(
         canonical_form(g).decode("ascii")
@@ -357,7 +342,6 @@ def exhaustive_spex(config: SearchConfig) -> SearchReport:
             " raise the cap explicitly if you accept the cost, or use local"
             " search for larger n"
         )
-    threads = config.threads or default_threads()
     entries: list[dict] = []
     if config.checkpoint:
         entries = load_checkpoint(config.checkpoint, config) or []
@@ -376,7 +360,7 @@ def exhaustive_spex(config: SearchConfig) -> SearchReport:
                 stats=stats,
             )
         )
-        entries.append(_best_entry(n, graphs, stats, threads))
+        entries.append(_best_entry(n, graphs, stats))
         entries.sort(key=lambda e: e["n"])
         if config.checkpoint:
             save_checkpoint(config.checkpoint, config, entries)

@@ -1,4 +1,4 @@
-"""Shared test utilities: random graphs, networkx bridges, small oracles."""
+"""Shared test utilities: random graphs, the networkx bridge, small oracles."""
 
 from __future__ import annotations
 
@@ -10,13 +10,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from spexlab.graph import Graph, from_edges
-
-
-def to_nx(g: Graph) -> nx.Graph:
-    G = nx.Graph()
-    G.add_nodes_from(range(g.n))
-    G.add_edges_from(g.edges())
-    return G
+from spexlab.recognition import to_networkx as to_nx
 
 
 def random_graph(rnd: random.Random, n: int, p: float) -> Graph:

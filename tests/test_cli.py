@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import jsonschema
 import networkx as nx
 import pytest
 
+import spexlab
 from helpers import to_nx
 from spexlab.cli import main
 from spexlab.graph import complete, join, path
@@ -210,10 +212,14 @@ def test_config_file_supplies_and_cli_overrides(tmp_path, capsys):
 
 
 def test_console_entry_point_smoke():
+    # The child imports the same spexlab as these tests, installed or not.
+    src = str(Path(spexlab.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "spexlab.cli", "rho", "--family", "wheel:n=10", "--format", "json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert abs(json.loads(proc.stdout)["rho"] - (1 + math.sqrt(10))) <= 1e-9

@@ -31,6 +31,20 @@ from spexlab.spectral import lower_bound_witness
 partitions = st.lists(st.integers(1, 9), min_size=1, max_size=6).map(PathPartition)
 
 
+def reference_jn(n: int):
+    """J_n as built edge by edge: the star with hub 0 plus (a, a + 1) for
+    odd a."""
+    g = star(n)
+    for a in range(1, n - 1, 2):
+        g = g.add_edge(a, a + 1)
+    return g
+
+
+def test_jn_matches_edge_by_edge_build():
+    for n in range(2, 61):
+        assert construct(FamilySpec("jn", n)) == reference_jn(n)
+
+
 def test_path_partition_basics():
     h = PathPartition([2, 5, 1, 5])
     assert h.parts == (5, 5, 2, 1)

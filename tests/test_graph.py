@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import graphs
 from spexlab.graph import (
+    MAX_VERTICES,
     Graph,
     complete,
     complete_bipartite,
@@ -151,3 +154,38 @@ def test_parse_edge_list_errors():
         parse_edge_list("a b")
     with pytest.raises(ValueError, match="bad edge"):
         from_edges(2, [(0, 5)])
+
+
+@given(graphs(max_n=8), graphs(max_n=5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_derived_graphs_pass_public_validation(g, h, data):
+    # Derived graphs skip the constructor's row scan; each must still be a
+    # graph that Graph(...) accepts unchanged.
+    perm = list(data.draw(st.permutations(range(g.n))))
+    keep = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    derived = [
+        g.relabel(perm),
+        g.induced_subgraph(keep),
+        join(g, h),
+        join(h, g),
+        disjoint_union([g, h, g]),
+        disjoint_union([]),
+        complete(g.n),
+        complete_bipartite(g.n, h.n),
+        empty_graph(g.n),
+    ]
+    for u, v in itertools.combinations(range(g.n), 2):
+        derived.append(g.remove_edge(u, v) if g.has_edge(u, v) else g.add_edge(u, v))
+    for d in derived:
+        assert len(d.rows()) == d.n
+        assert Graph(d.n, d.rows()) == d
+
+
+def test_vertex_cap_holds_on_derived_graphs():
+    assert empty_graph(MAX_VERTICES).n == MAX_VERTICES
+    with pytest.raises(ValueError, match="vertex count"):
+        empty_graph(MAX_VERTICES + 1)
+    with pytest.raises(ValueError, match="vertex count"):
+        join(complete(1), empty_graph(MAX_VERTICES))
+    with pytest.raises(ValueError, match="vertex count"):
+        disjoint_union([empty_graph(MAX_VERTICES), empty_graph(1)])
