@@ -12,6 +12,7 @@ two-hub join graphs, and the experiments module reports where.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import networkx as nx
@@ -154,11 +155,13 @@ def find_bouquet(g: Graph, t: int, l: int) -> tuple[int, list[list[int]]] | None
         raise ValueError("bouquet needs t >= 1 and l >= 3")
     if g.n < t * (l - 1) + 1:
         return None
+    rows = g.rows()
     for v in range(g.n):
         if g.degree(v) < 2 * t:  # the hub carries 2 cycle-edges per cycle
             continue
-        cycles = _pack_hub_cycles(g, v, l, t)
-        if cycles is not None:
+        packed = _pack_hub_cycles(_hub_cycle_sets(rows, v, l), t)
+        if packed is not None:
+            cycles = [_hub_cycle_on(rows, v, l, m) for m in packed]
             _validate_bouquet(g, v, cycles)
             return v, cycles
     return None
@@ -170,23 +173,118 @@ def contains_bouquet(g: Graph, t: int, l: int) -> bool:
 
 def max_hub_cycles_at(g: Graph, v: int, l: int, cap: int) -> int:
     """Largest k <= cap of l-cycles through v pairwise sharing only v."""
+    masks = _hub_cycle_sets(g.rows(), v, l)
     best = 0
-    while best < cap and _pack_hub_cycles(g, v, l, best + 1) is not None:
+    while best < cap and _pack_hub_cycles(masks, best + 1) is not None:
         best += 1
     return best
 
 
-def _pack_hub_cycles(g: Graph, v: int, l: int, t: int) -> list[list[int]] | None:
-    """t internally vertex-disjoint l-cycles through v, or None.
+def _walk_hub_cycles(
+    rows: Sequence[int], v: int, l: int, sink: Callable[[list[int], int, int], None]
+) -> None:
+    """Visit every l-cycle through v once, by a DFS over the bitset rows.
 
-    Enumerate-then-pack: list every l-cycle at v once, then search index-
-    increasing combinations. The pruning bound repeatedly strips the most
-    reused non-hub vertex (a packing can use at most one cycle through it),
-    which refutes join-like graphs -- where nearly every cycle runs through
-    one high-degree vertex -- at the root instead of by exhaustion.
+    Each cycle is v, a, ..., w, z with a < z: for every path a..w of l - 2
+    vertices in G - v that starts at a neighbour a of v, the walk calls
+    ``sink(path, inner, ends)`` once, where ``inner`` is the bitset of the
+    path and ``ends`` the nonzero bitset of the closing vertices z (the
+    neighbours of both v and w above a, off the path). ``path`` is reused
+    by the walk; a sink that keeps it must copy it.
     """
-    paths = list(_all_hub_paths(g, v, l))
-    masks = [_mask(p) for p in paths]
+    hub = 1 << v
+    path: list[int] = []
+
+    def extend(w: int, mask: int, left: int, ends: int) -> None:
+        # path ends at w; `left` more vertices come before the closing one
+        if not left:
+            zs = rows[w] & ends & ~mask
+            if zs:
+                sink(path, mask ^ hub, zs)
+            return
+        r = rows[w] & ~mask
+        if left == 1:  # close each next vertex here: most paths end unclosed
+            while r:
+                b = r & -r
+                r ^= b
+                x = b.bit_length() - 1
+                zs = rows[x] & ends & ~mask
+                if zs:
+                    path.append(x)
+                    sink(path, (mask | b) ^ hub, zs)
+                    path.pop()
+            return
+        while r:
+            b = r & -r
+            r ^= b
+            path.append(b.bit_length() - 1)
+            extend(path[-1], mask | b, left - 1, ends)
+            path.pop()
+
+    r = rows[v]
+    while r:
+        b = r & -r
+        r ^= b
+        if not r:  # no closing neighbour above the largest one
+            break
+        path.append(b.bit_length() - 1)
+        extend(path[0], hub | b, l - 3, r)
+        path.pop()
+    # extend reaches itself through its closure; emptying that cell frees
+    # the sink and what it holds now instead of at the next full collection
+    del extend
+
+
+_SPREAD = (1 << 64) - 59  # a prime
+
+
+def _hub_cycle_sets(rows: Sequence[int], v: int, l: int) -> list[int]:
+    """The distinct internal vertex sets of the l-cycles through v, as
+    bitmasks in walk order."""
+    # Python hashes an int mod 2^61 - 1, under which bit k weighs the same
+    # as bit k + 61, so the masks of one hub collide by the thousand;
+    # pairing each mask with its residue mod another prime spreads them.
+    seen: set[tuple[int, int]] = set()
+    masks: list[int] = []
+
+    def keep(path: list[int], inner: int, ends: int) -> None:
+        while ends:
+            b = ends & -ends
+            ends ^= b
+            m = inner | b
+            key = (m % _SPREAD, m)
+            if key not in seen:
+                seen.add(key)
+                masks.append(m)
+
+    _walk_hub_cycles(rows, v, l, keep)
+    return masks
+
+
+def _hub_cycle_on(rows: Sequence[int], v: int, l: int, mask: int) -> list[int]:
+    """The first l-cycle through v in walk order whose other vertices are
+    mask, listed from v. The walk on G[mask + v] meets the cycles of G in
+    the same order, skipping those that leave mask."""
+    keep = mask | 1 << v
+    found: list[int] = []
+
+    def first(path: list[int], inner: int, ends: int) -> None:
+        if not found:
+            found.extend([v, *path, (ends & -ends).bit_length() - 1])
+
+    _walk_hub_cycles([r & keep for r in rows], v, l, first)
+    return found
+
+
+def _pack_hub_cycles(masks: list[int], t: int) -> list[int] | None:
+    """t pairwise disjoint masks, the first such choice in list order, or None.
+
+    Backtracking over index-increasing combinations. The pruning bound
+    repeatedly strips the most reused vertex (a packing can use at most one
+    set through it), which refutes join-like graphs -- where nearly every
+    cycle runs through one high-degree vertex -- at the root instead of by
+    exhaustion.
+    """
 
     def upper(avail: list[int]) -> int:
         bound = 0
@@ -205,7 +303,7 @@ def _pack_hub_cycles(g: Graph, v: int, l: int, t: int) -> list[list[int]] | None
             work = [m for m in work if not m & top]
         return bound
 
-    def rec(avail: list[int], k: int) -> list[list[int]] | None:
+    def rec(avail: list[int], k: int) -> list[int] | None:
         if k == 0:
             return []
         if len(avail) < k or upper(avail) < k:
@@ -213,39 +311,10 @@ def _pack_hub_cycles(g: Graph, v: int, l: int, t: int) -> list[list[int]] | None
         for idx, i in enumerate(avail):
             rest = rec([j for j in avail[idx + 1 :] if not masks[j] & masks[i]], k - 1)
             if rest is not None:
-                return [[v] + paths[i]] + rest
+                return [masks[i]] + rest
         return None
 
-    return rec(list(range(len(paths))), t)
-
-
-def _hub_paths(g: Graph, v: int, a: int, l: int, used: int):
-    """Paths a..z of l-1 vertices avoiding used, with z in N(v), z > a."""
-    nbhd = g.row(v)
-    path = [a]
-
-    def rec(mask: int):
-        w = path[-1]
-        if len(path) == l - 1:
-            if w != a and (nbhd >> w & 1) and w > a:
-                yield list(path)
-            return
-        r = g.row(w) & ~mask & ~used
-        while r:
-            x = (r & -r).bit_length() - 1
-            r &= r - 1
-            path.append(x)
-            yield from rec(mask | (1 << x))
-            path.pop()
-
-    yield from rec((1 << a) | (1 << v) | used)
-
-
-def _mask(vertices) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
+    return rec(list(range(len(masks))), t)
 
 
 def _validate_bouquet(g: Graph, v: int, cycles: list[list[int]]) -> None:
@@ -260,23 +329,19 @@ def _validate_bouquet(g: Graph, v: int, cycles: list[list[int]]) -> None:
 
 def all_l_cycles_at(g: Graph, v: int, l: int) -> list[frozenset[tuple[int, int]]]:
     """Edge sets of all l-cycles through v (desk-scale enumeration)."""
-    out = []
-    for p in _all_hub_paths(g, v, l):
-        cyc = [v] + p
-        edges = frozenset(
-            (min(cyc[i], cyc[(i + 1) % l]), max(cyc[i], cyc[(i + 1) % l]))
-            for i in range(l)
-        )
-        out.append(edges)
-    return sorted(set(out), key=sorted)
+    out = set()
 
+    def keep(path: list[int], inner: int, ends: int) -> None:
+        while ends:
+            b = ends & -ends
+            ends ^= b
+            cyc = [v, *path, b.bit_length() - 1]
+            out.add(frozenset(
+                (min(cyc[i - 1], cyc[i]), max(cyc[i - 1], cyc[i])) for i in range(l)
+            ))
 
-def _all_hub_paths(g: Graph, v: int, l: int):
-    r = g.row(v)
-    while r:
-        a = (r & -r).bit_length() - 1
-        r &= r - 1
-        yield from _hub_paths(g, v, a, l, 0)
+    _walk_hub_cycles(g.rows(), v, l, keep)
+    return sorted(out, key=sorted)
 
 
 def max_edge_disjoint_l_cycles_at(g: Graph, v: int, l: int, cap: int) -> int:

@@ -53,11 +53,20 @@ def graph6_encode(g: Graph) -> str:
 
 
 def graph6_decode(s: str) -> Graph:
-    data = s.encode("ascii", errors="replace")
+    # Everything before the first non-ASCII character is one byte a character,
+    # so character and byte offsets agree up to it.
+    cut = len(s)
+    if not s.isascii():
+        cut = next(i for i, c in enumerate(s) if not c.isascii())
+    data = s[:cut].encode("ascii")
     bad = data.translate(None, _G6)  # the bytes outside 63..126, in order
     if bad:
         raise Graph6Error(
             f"byte {bad[0]} outside graph6 range 63..126", data.index(bad[0])
+        )
+    if cut < len(s):
+        raise Graph6Error(
+            f"non-ASCII character {s[cut]!r} outside graph6 range 63..126", cut
         )
     if not data:
         raise Graph6Error("empty input", 0)

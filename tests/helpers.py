@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -60,8 +61,15 @@ def all_labeled_graphs(n: int):
 
 
 def iso_key(g: Graph) -> str:
-    """Isomorphism-invariant bucket key, independent of spexlab's canon."""
-    return nx.weisfeiler_lehman_graph_hash(to_nx(g), iterations=3)
+    """Isomorphism-invariant bucket key, independent of spexlab's canon.
+
+    networkx >= 3.5 warns that its hashes of unlabelled graphs changed in
+    v3.5. The key only buckets graphs within one run before an exact
+    isomorphism test, so that warning is silenced here.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "The hashes produced", UserWarning)
+        return nx.weisfeiler_lehman_graph_hash(to_nx(g), iterations=3)
 
 
 def iso_classes(graphs_iter) -> list[Graph]:

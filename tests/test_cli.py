@@ -165,6 +165,7 @@ def test_usage_errors_exit_1(capsys):
         ("construct",),  # missing --family
         ("rho",),  # neither --g6 nor --family
         ("rho", "--g6", "Cl", "--family", "wheel:n=5"),  # both inputs
+        ("rho", "--g6", "C\u00e9"),  # non-ASCII graph6
         ("rho", "--family", "wheel:n=5", "--format", "g6"),
         ("construct", "--family", "bogus:n=5"),
         ("construct", "--family", "wheel:n=2"),  # domain error from library

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import graphs, random_graph, to_nx
+from spexlab.constructions import FamilySpec, PathPartition, construct, joined_paths
 from spexlab.forbidden import (
     ForbiddenSpec,
     all_l_cycles_at,
@@ -176,6 +177,186 @@ def _brute_internal_sets(g: Graph, v: int, l: int):
         if all(g.has_edge(ring[i], ring[(i + 1) % l]) for i in range(l)):
             out.add(frozenset(rest))
     return out
+
+
+def reference_hub_paths(g: Graph, v: int, a: int, l: int):
+    """Paths a..z of l-1 vertices in G - v with z in N(v), z > a, each
+    yielded as its own list with the end tested at the leaf."""
+    nbhd = g.row(v)
+    path = [a]
+
+    def rec(mask: int):
+        w = path[-1]
+        if len(path) == l - 1:
+            if w != a and (nbhd >> w & 1) and w > a:
+                yield list(path)
+            return
+        r = g.row(w) & ~mask
+        while r:
+            x = (r & -r).bit_length() - 1
+            r &= r - 1
+            path.append(x)
+            yield from rec(mask | (1 << x))
+            path.pop()
+
+    yield from rec((1 << a) | (1 << v))
+
+
+def reference_all_hub_paths(g: Graph, v: int, l: int):
+    r = g.row(v)
+    while r:
+        a = (r & -r).bit_length() - 1
+        r &= r - 1
+        yield from reference_hub_paths(g, v, a, l)
+
+
+def reference_pack_hub_cycles(v: int, paths: list[list[int]], t: int):
+    """Pack the enumerated l-cycles at v (repeats included): index-increasing
+    combinations pruned by the most-reused-vertex bound."""
+    masks = [sum(1 << x for x in p) for p in paths]
+
+    def upper(avail):
+        bound = 0
+        work = [masks[i] for i in avail]
+        while work:
+            counts = {}
+            for m in work:
+                while m:
+                    b = m & -m
+                    counts[b] = counts.get(b, 0) + 1
+                    m ^= b
+            top, c = max(counts.items(), key=lambda kv: kv[1])
+            if c <= 1:
+                return bound + len(work)
+            bound += 1
+            work = [m for m in work if not m & top]
+        return bound
+
+    def rec(avail, k):
+        if k == 0:
+            return []
+        if len(avail) < k or upper(avail) < k:
+            return None
+        for idx, i in enumerate(avail):
+            rest = rec([j for j in avail[idx + 1 :] if not masks[j] & masks[i]], k - 1)
+            if rest is not None:
+                return [[v] + paths[i]] + rest
+        return None
+
+    return rec(list(range(len(paths))), t)
+
+
+def reference_find_bouquet(g: Graph, t: int, l: int):
+    if g.n < t * (l - 1) + 1:
+        return None
+    for v in range(g.n):
+        if g.degree(v) >= 2 * t:
+            paths = list(reference_all_hub_paths(g, v, l))
+            cycles = reference_pack_hub_cycles(v, paths, t)
+            if cycles is not None:
+                return v, cycles
+    return None
+
+
+def reference_max_hub_cycles_at(g: Graph, v: int, l: int, cap: int) -> int:
+    paths = list(reference_all_hub_paths(g, v, l))
+    best = 0
+    while best < cap and reference_pack_hub_cycles(v, paths, best + 1) is not None:
+        best += 1
+    return best
+
+
+def reference_all_l_cycles_at(g: Graph, v: int, l: int):
+    out = set()
+    for p in reference_all_hub_paths(g, v, l):
+        cyc = [v] + p
+        out.add(frozenset(
+            (min(cyc[i], cyc[(i + 1) % l]), max(cyc[i], cyc[(i + 1) % l]))
+            for i in range(l)
+        ))
+    return sorted(out, key=sorted)
+
+
+def check_bouquet_witness(g: Graph, t: int, l: int, found):
+    hub, cycles = found
+    assert len(cycles) == t
+    for c in cycles:
+        assert c[0] == hub
+        check_cycle_witness(g, l, c)
+    for a, b in itertools.combinations(cycles, 2):
+        assert not set(a[1:]) & set(b[1:])
+
+
+def check_against_reference(g: Graph, t: int, l: int):
+    """find_bouquet (witness included) for t and t + 1, and the hub-cycle
+    counts at every vertex, equal the enumerate-then-pack reference's."""
+    for k in (t, t + 1):
+        found = find_bouquet(g, k, l)
+        assert found == reference_find_bouquet(g, k, l), (g.rows(), k, l)
+        if found is not None:
+            check_bouquet_witness(g, k, l, found)
+    for v in range(g.n):
+        got = max_hub_cycles_at(g, v, l, cap=t + 1)
+        assert got == reference_max_hub_cycles_at(g, v, l, cap=t + 1), (g.rows(), v, l)
+
+
+def flip_family_graphs():
+    """K1 v P_n1 and K2 v (P_n1 u P_n2) around the bouquet flips n1 = t(l-1)
+    and n1 + n2 = tl - t - 1, plus k1hop/k2hp at their smallest orders."""
+    for t in range(2, 5):
+        for l in range(3, 8):
+            for n1 in range(t * (l - 1) - 1, t * (l - 1) + 2):
+                yield t, l, joined_paths(1, PathPartition([n1]))
+            for s in range(t * l - t - 2, t * l - t + 1):
+                for n2 in sorted({1, s // 2}):
+                    yield t, l, joined_paths(2, PathPartition([s - n2, n2]))
+            lo = {"k1hop": t * l - t, "k2hp": t * l - t - l + 2}
+            for kind, n in lo.items():
+                for extra in (0, l - 2):
+                    yield t, l, construct(FamilySpec(kind, n + extra, t=t, l=l))
+
+
+@pytest.mark.parametrize("t", range(2, 5))
+def test_bouquet_matches_reference_on_flip_families(t):
+    for tt, l, g in flip_family_graphs():
+        if tt == t:
+            check_against_reference(g, t, l)
+
+
+def test_bouquet_matches_reference_on_random_graphs():
+    rnd = random.Random(4242)
+    for _ in range(60):
+        n = rnd.randint(9, 11)
+        g = random_graph(rnd, n, rnd.choice([0.3, 0.45, 0.6]))
+        for t, l in [(1, 3), (2, 3), (3, 3), (2, 4), (2, 5), (1, 6)]:
+            check_against_reference(g, t, l)
+
+
+@pytest.mark.parametrize("kind", ["wheel", "k1hop", "k2hp"])
+def test_bouquet_matches_reference_past_61_vertices(kind):
+    # Python hashes an int mod 2^61 - 1, so from n = 62 on distinct vertex
+    # masks share hashes; the detector must still keep every distinct set.
+    for n in (62, 70):
+        for t, l in [(2, 3), (3, 4), (2, 5)]:
+            spec = FamilySpec(kind, n, t=t, l=l) if kind != "wheel" else FamilySpec(kind, n)
+            check_against_reference(construct(spec), t, l)
+
+
+def test_hub_cycle_count_when_int_hashes_collide():
+    # jn:n=125 is K1 v 62K2; the triangle masks {1, 2} and {123, 124} are
+    # equal mod 2^61 - 1, and every one of the 62 triangles must count
+    f = construct(FamilySpec("jn", 125))
+    assert max_hub_cycles_at(f, 0, 3, cap=70) == 62
+    check_bouquet_witness(f, 62, 3, find_bouquet(f, 62, 3))
+
+
+def test_all_l_cycles_at_matches_reference():
+    rnd = random.Random(515)
+    for _ in range(30):
+        g = random_graph(rnd, rnd.randint(5, 9), rnd.choice([0.3, 0.5]))
+        for l in (3, 4, 5):
+            for v in range(g.n):
+                assert all_l_cycles_at(g, v, l) == reference_all_l_cycles_at(g, v, l)
 
 
 def test_all_l_cycles_at_are_edge_sets():

@@ -40,10 +40,11 @@ def reference_encode(g: Graph) -> str:
 
 def reference_decode(s: str) -> Graph:
     """graph6 decoder unpacking the body one 6-bit group at a time."""
-    data = s.encode("ascii", errors="replace")
-    for i, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b} outside graph6 range 63..126", i)
+    for i, c in enumerate(s):
+        if not 63 <= ord(c) <= 126:
+            what = f"byte {ord(c)}" if c.isascii() else f"non-ASCII character {c!r}"
+            raise Graph6Error(f"{what} outside graph6 range 63..126", i)
+    data = s.encode("ascii")
     if not data:
         raise Graph6Error("empty input", 0)
     if data[0] != 126:
@@ -192,6 +193,14 @@ MALFORMED = [
     _padding_set(graph6_encode(complete(14)), 14),
     _padding_set(graph6_encode(empty_graph(63)), 63),
     _padding_set(graph6_encode(path(101)), 101),
+    "\u00e9",
+    "C\u00e9",
+    "Cl\u00e9",
+    "C \u00e9",
+    "\u00e9" + chr(30),
+    "~\u00e9??",
+    "C\U0001f600",
+    "D~{\u00e9\u00e9",
 ]
 
 
