@@ -136,7 +136,11 @@ def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         defaults = {}
-        with open(args.config) as fh:
+        try:
+            fh = open(args.config)
+        except OSError as e:
+            raise UsageError(f"cannot read --config {args.config}: {e.strerror}") from None
+        with fh:
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
                 if not line:

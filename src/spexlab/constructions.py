@@ -13,10 +13,8 @@ from .graph import (
     complete_bipartite,
     cycle,
     disjoint_union,
-    empty_graph,
     join,
     path,
-    star,
 )
 
 FAMILY_KINDS = ("wheel", "star", "jn", "k1hop", "k2hp", "k2n2", "claimw")
@@ -78,7 +76,8 @@ def h_p(n: int, n1: int, n2: int) -> PathPartition:
 
 
 def paths_graph(h: PathPartition) -> Graph:
-    return disjoint_union([path(p) for p in h.parts])
+    built = {p: path(p) for p in set(h.parts)}
+    return disjoint_union(built[p] for p in h.parts)
 
 
 def joined_paths(hubs: int, h: PathPartition) -> Graph:
@@ -133,6 +132,19 @@ class FamilySpec:
 def family_partition(spec: FamilySpec) -> PathPartition:
     """The path partition behind a K1/K2-join family."""
     t, l, n = spec.t, spec.l, spec.n
+    if spec.kind in ("star", "jn"):
+        if n < 2:
+            raise ValueError(f"{spec.kind} needs n >= 2")
+        if spec.kind == "star":
+            return PathPartition([1] * (n - 1))
+        pairs, single = divmod(n - 1, 2)
+        return PathPartition([2] * pairs + [1] * single)
+    if spec.kind == "claimw":
+        if t < 1:
+            raise ValueError("claimw needs t >= 1")
+        if n < 2 * t - 1 or n < 2:
+            raise ValueError(f"claimw(t={t}) needs n >= {max(2, 2 * t - 1)}")
+        return PathPartition([2] * (t - 1) + [1] * (n - 2 * t + 1))
     if spec.kind == "k1hop":
         if t < 1 or l < 3:
             raise ValueError("k1hop needs t >= 1 and l >= 3")
@@ -157,29 +169,11 @@ def construct(spec: FamilySpec) -> Graph:
         if n < 4:
             raise ValueError("wheel needs n >= 4")
         return join(complete(1), cycle(n - 1))
-    if kind == "star":
-        if n < 2:
-            raise ValueError("star needs n >= 2")
-        return star(n)
-    if kind == "jn":
-        if n < 2:
-            raise ValueError("jn needs n >= 2")
-        pairs, single = divmod(n - 1, 2)
-        return join(complete(1), disjoint_union([path(2)] * pairs + [path(1)] * single))
     if kind == "k2n2":
         if n < 3:
             raise ValueError("k2n2 needs n >= 3")
         return complete_bipartite(2, n - 2)
-    if kind == "claimw":
-        t = spec.t
-        if t < 1:
-            raise ValueError("claimw needs t >= 1")
-        if n < 2 * t - 1 or n < 2:
-            raise ValueError(f"claimw(t={t}) needs n >= {max(2, 2 * t - 1)}")
-        rest = disjoint_union([path(2)] * (t - 1) + [empty_graph(n - 2 * t + 1)])
-        return join(complete(1), rest)
-    hubs = 1 if kind == "k1hop" else 2
-    return joined_paths(hubs, family_partition(spec))
+    return joined_paths(2 if kind == "k2hp" else 1, family_partition(spec))
 
 
 def transform(h: PathPartition, i: int, j: int) -> PathPartition:

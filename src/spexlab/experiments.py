@@ -199,14 +199,14 @@ def _suite_lemma_lm5(params: dict) -> SuiteResult:
     return _run_cases("lemma-lm5", _monotonicity_cases(2, params))
 
 
-def _suite_claim_3_1(params: dict) -> SuiteResult:
-    grid = params.get("grid", ((5, 3, 5000), (9, 2, 5000), (5, 3, 12000), (9, 2, 12000)))
+def _box_cases(hubs: int, grid) -> list[Case]:
+    """Eigenvector-box checks on K1 v H_OP(n1, n2) or K2 v H_P(n1, n2)."""
+    label = "K1vHOP" if hubs == 1 else "K2vHP"
     cases: list[Case] = []
     for n1, n2, n in grid:
 
         def fn(n1=n1, n2=n2, n=n):
-            g = construct_hop_join(1, n, n1, n2)
-            rep = check_eigenvector_box(g, "hub1")
+            rep = check_eigenvector_box(hubs, fill_partition(n - hubs, n1, n2))
             info = {
                 "n1": n1,
                 "n2": n2,
@@ -216,34 +216,18 @@ def _suite_claim_3_1(params: dict) -> SuiteResult:
             }
             return ("pass" if rep.passed else "fail"), info
 
-        cases.append((f"K1vHOP({n1},{n2})@n={n}", fn))
-    return _run_cases("claim-3.1", cases)
+        cases.append((f"{label}({n1},{n2})@n={n}", fn))
+    return cases
+
+
+def _suite_claim_3_1(params: dict) -> SuiteResult:
+    grid = params.get("grid", ((5, 3, 5000), (9, 2, 5000), (5, 3, 12000), (9, 2, 12000)))
+    return _run_cases("claim-3.1", _box_cases(1, grid))
 
 
 def _suite_lemma_lm4(params: dict) -> SuiteResult:
     grid = params.get("grid", ((7, 3, 5000),))
-    cases: list[Case] = []
-    for n1, n2, n in grid:
-
-        def fn(n1=n1, n2=n2, n=n):
-            g = construct_hop_join(2, n, n1, n2)
-            rep = check_eigenvector_box(g, "hub2")
-            info = {
-                "n1": n1,
-                "n2": n2,
-                "n": n,
-                "worst": rep.lhs,
-                "rho": rep.details["rho"],
-            }
-            return ("pass" if rep.passed else "fail"), info
-
-        cases.append((f"K2vHP({n1},{n2})@n={n}", fn))
-    return _run_cases("lemma-lm4", cases)
-
-
-def construct_hop_join(hubs: int, n: int, n1: int, n2: int) -> Graph:
-    """K1 v H_OP(n1, n2) or K2 v H_P(n1, n2) on n vertices."""
-    return joined_paths(hubs, fill_partition(n - hubs, n1, n2))
+    return _run_cases("lemma-lm4", _box_cases(2, grid))
 
 
 def _suite_claim_3_2(params: dict) -> SuiteResult:

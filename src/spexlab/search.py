@@ -324,8 +324,24 @@ def load_checkpoint(path: str, config: SearchConfig) -> list[dict] | None:
         return None
     if not blob.startswith(CHECKPOINT_MAGIC):
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
+    if len(blob) < 13:
+        raise ValueError(f"{path}: checkpoint header is truncated")
     (length,) = struct.unpack(">I", blob[9:13])
+    if 13 + length > len(blob):
+        raise ValueError(f"{path}: checkpoint length field points past the end")
     payload = json.loads(blob[13 : 13 + length])
+    if not (
+        isinstance(payload, dict)
+        and isinstance(payload.get("config"), dict)
+        and isinstance(payload.get("entries"), list)
+        and all(
+            isinstance(e, dict) and type(e.get("n")) is int for e in payload["entries"]
+        )
+    ):
+        raise ValueError(
+            f"{path}: checkpoint payload needs a config object and a list of"
+            " entries with integer n"
+        )
     if payload["config"] != config.key_dict():
         return None
     return payload["entries"]

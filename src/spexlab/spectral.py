@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .constructions import PathPartition
-from .graph import Graph, complete, disjoint_union, empty_graph, join, path
+from .constructions import FamilySpec, PathPartition, family_partition
+from .graph import Graph
 from .recognition import is_outerplanar
 
 DEFAULT_TOL = 1e-10
@@ -377,20 +377,14 @@ def check_shu_bound(g: Graph, tol: float = DEFAULT_TOL) -> BoundReport:
     )
 
 
-def lower_bound_witness(n: int, t: int) -> Graph:
-    """K1 v ((t-1)K2 u (n-2t+1)K1): the hub-plus-partial-matching witness."""
+def check_lower_bound_claim11(n: int, t: int, tol: float = DEFAULT_TOL) -> BoundReport:
+    """rho of the witness K1 v ((t-1)K2 u (n-2t+1)K1) is
+    >= sqrt(n)+1-(n-t)/(n-sqrt(n)), itself > (4/5)sqrt(n)."""
     if n <= 5:
         raise ValueError("bound needs n > 5")
     if not 1 <= t <= (n - 1) / 2:
         raise ValueError("need 1 <= t <= (n-1)/2")
-    rest = disjoint_union([path(2)] * (t - 1) + [empty_graph(n - 2 * t + 1)])
-    return join(complete(1), rest)
-
-
-def check_lower_bound_claim11(n: int, t: int, tol: float = DEFAULT_TOL) -> BoundReport:
-    """rho of the witness is >= sqrt(n)+1-(n-t)/(n-sqrt(n)), itself > (4/5)sqrt(n)."""
-    g = lower_bound_witness(n, t)
-    est = spectral_radius(g, tol)
+    est = joined_paths_radius(1, family_partition(FamilySpec("claimw", n, t=t)), tol)
     root = math.sqrt(n)
     bound = root + 1 - (n - t) / (n - root)
     coarse = 0.8 * root
@@ -414,38 +408,13 @@ def check_lower_bound_claim11(n: int, t: int, tol: float = DEFAULT_TOL) -> Bound
     )
 
 
-def _hub_count(style: str) -> int:
-    if style == "hub1":
-        return 1
-    if style == "hub2":
-        return 2
-    raise ValueError(f"style must be 'hub1' or 'hub2', got {style!r}")
-
-
-def _validate_hub_paths_shape(g: Graph, hubs: int) -> None:
-    """Hubs 0..hubs-1 adjacent to everything; the rest induces disjoint paths."""
-    for h in range(hubs):
-        if g.degree(h) != g.n - 1:
-            raise ValueError(f"vertex {h} is not a dominating hub")
-    rest = g.induced_subgraph(range(hubs, g.n))
-    if any(rest.degree(v) > 2 for v in range(rest.n)):
-        raise ValueError("non-hub part is not a union of paths")
-    comp_count = len(rest.components())
-    if rest.edge_count() != rest.n - comp_count:
-        raise ValueError("non-hub part contains a cycle")
-
-
 def check_eigenvector_box(
-    g: Graph, style: str, tol: float = DEFAULT_TOL, box_eps: float = 1e-9
+    hubs: int, h: PathPartition, tol: float = DEFAULT_TOL, box_eps: float = 1e-9
 ) -> BoundReport:
-    """Perron entries off the hub(s) sit in [c/rho, c/rho + K/rho^2] with
-    (c, K) = (1, 2.04) for K1-joins and (2, 4.496) for K2-joins, after
-    normalizing the hub entries to 1."""
-    hubs = _hub_count(style)
-    _validate_hub_paths_shape(g, hubs)
-    if style == "hub2" and not g.has_edge(0, 1):
-        raise ValueError("hub2 expects the K2 edge between vertices 0 and 1")
-    est = spectral_radius(g, tol)
+    """Perron entries of ``joined_paths(hubs, h)`` off the hub(s) sit in
+    [c/rho, c/rho + K/rho^2] with (c, K) = (1, 2.04) for K1-joins and
+    (2, 4.496) for K2-joins, after normalizing the hub entries to 1."""
+    est = joined_paths_radius(hubs, h, tol)
     x = est.perron_max
     rho = est.rho
     c, width = (1.0, 2.04) if hubs == 1 else (2.0, 4.496)
@@ -458,7 +427,7 @@ def check_eigenvector_box(
         worst = max(float((lo - rest).max()), float((rest - hi).max()), 0.0)
     worst = max(worst, hub_gap)
     return BoundReport(
-        name=f"eigenvector-box-{style}",
+        name=f"eigenvector-box-hub{hubs}",
         lhs=worst,
         rhs=box_eps,
         slack=box_eps - worst,

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from helpers import all_labeled_graphs, iso_classes, to_nx
-from spexlab.constructions import h_op, joined_paths
+from spexlab.constructions import h_op
 from spexlab.experiments import run_suite
 from spexlab.forbidden import ForbiddenSpec
 from spexlab.graph import Graph, complete, complete_bipartite, cycle, join, star
@@ -69,20 +69,19 @@ def test_c4_eigenvector_box_hub2_at_5000():
 )
 def test_c4_eigenvector_box_hub1_at_5000():
     for n1, n2 in ((5, 3), (9, 2)):
-        g = joined_paths(1, h_op(5000, n1, n2))
-        assert check_eigenvector_box(g, "hub1").passed
+        assert check_eigenvector_box(1, h_op(5000, n1, n2)).passed
 
 
 def test_c4_hub1_failure_signature_and_valid_regime():
     # pin the diagnosis of the expected failure above
     for n1, n2 in ((5, 3), (9, 2)):
-        rep = check_eigenvector_box(joined_paths(1, h_op(5000, n1, n2)), "hub1")
+        rep = check_eigenvector_box(1, h_op(5000, n1, n2))
         assert not rep.passed
         assert rep.details["rho"] < 102.0
         assert 0 < rep.lhs < 1e-5  # tiny overshoot, not a detector bug
     # and the same construction passes once rho clears 102
     for n1, n2 in ((5, 3), (9, 2)):
-        rep = check_eigenvector_box(joined_paths(1, h_op(12_000, n1, n2)), "hub1")
+        rep = check_eigenvector_box(1, h_op(12_000, n1, n2))
         assert rep.details["rho"] > 102.0 and rep.passed
 
 

@@ -182,6 +182,28 @@ def test_usage_errors_exit_1(capsys):
         assert err.strip(), argv
 
 
+def test_malformed_checkpoint_exits_1(tmp_path, capsys):
+    header = b"SPEXCKPT1"
+    for name, blob in [
+        ("magic-only", header),
+        ("object", header + b"\x00\x00\x00\x02{}"),
+        ("list", header + b"\x00\x00\x00\x05[1,2]"),
+    ]:
+        ckpt = tmp_path / f"{name}.bin"
+        ckpt.write_bytes(blob)
+        argv = ("search", "--nmin", "3", "--nmax", "4", "--checkpoint", str(ckpt))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1, name
+        assert err.startswith("error:"), name
+
+
+def test_unreadable_config_exits_1(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    code, _, err = run_cli(capsys, "rho", "--family", "star:n=5", "--config", str(missing))
+    assert code == 1
+    assert err.startswith("usage error:") and "missing.cfg" in err
+
+
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "rho", "--help")[0] == 0

@@ -24,9 +24,16 @@ from spexlab.constructions import (
     transformation_chain_to,
 )
 from spexlab.forbidden import ForbiddenSpec, is_free, matching_number
-from spexlab.graph import complete_bipartite, join, complete, path, star
+from spexlab.graph import (
+    complete,
+    complete_bipartite,
+    disjoint_union,
+    empty_graph,
+    join,
+    path,
+    star,
+)
 from spexlab.recognition import is_outerplanar, is_planar
-from spexlab.spectral import lower_bound_witness
 
 partitions = st.lists(st.integers(1, 9), min_size=1, max_size=6).map(PathPartition)
 
@@ -43,6 +50,27 @@ def reference_jn(n: int):
 def test_jn_matches_edge_by_edge_build():
     for n in range(2, 61):
         assert construct(FamilySpec("jn", n)) == reference_jn(n)
+
+
+def reference_built(spec: FamilySpec):
+    """star, jn and claimw (the claim-1.1 witness) built directly from
+    graph pieces rather than from their path partitions."""
+    n, t = spec.n, spec.t
+    if spec.kind == "star":
+        return star(n)
+    if spec.kind == "jn":
+        pairs, single = divmod(n - 1, 2)
+        return join(complete(1), disjoint_union([path(2)] * pairs + [path(1)] * single))
+    rest = disjoint_union([path(2)] * (t - 1) + [empty_graph(n - 2 * t + 1)])
+    return join(complete(1), rest)
+
+
+def test_partition_families_match_direct_builds():
+    for n in range(2, 201):
+        for spec in [FamilySpec("star", n), FamilySpec("jn", n)] + [
+            FamilySpec("claimw", n, t=t) for t in range(1, (n + 1) // 2 + 1)
+        ]:
+            assert construct(spec).rows() == reference_built(spec).rows(), spec
 
 
 def test_path_partition_basics():
@@ -136,7 +164,8 @@ def test_construct_shapes():
     jn = construct(FamilySpec("jn", 9))
     assert jn.edge_count() == 8 + 4 and matching_number(jn) == 4
     assert construct(FamilySpec("k2n2", 7)) == complete_bipartite(2, 5)
-    assert construct(FamilySpec("claimw", 12, t=3)) == lower_bound_witness(12, 3)
+    claimw = FamilySpec("claimw", 12, t=3)
+    assert construct(claimw) == reference_built(claimw)
     k2 = construct(FamilySpec("k2hp", 12, t=2, l=5))
     assert k2.has_edge(0, 1) and k2.degree(0) == 11 and k2.degree(1) == 11
     for bad in (

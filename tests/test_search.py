@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+import struct
 
 import networkx as nx
 import pytest
@@ -14,6 +16,7 @@ from spexlab.forbidden import ForbiddenSpec
 from spexlab.graph import complete, complete_bipartite, cycle, join, path, star
 from spexlab.graph6 import graph6_decode
 from spexlab.search import (
+    CHECKPOINT_MAGIC,
     CapExceededError,
     SearchConfig,
     canonical_form,
@@ -161,6 +164,43 @@ def test_checkpoint_roundtrip_and_resume(tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"nonsense")
         load_checkpoint(str(bad), cfg)
+
+
+def _raw_checkpoint(path, payload: bytes, length: int | None = None) -> str:
+    size = len(payload) if length is None else length
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack(">I", size) + payload)
+    return str(path)
+
+
+def test_checkpoint_truncated_header(tmp_path):
+    bad = tmp_path / "short.bin"
+    bad.write_bytes(CHECKPOINT_MAGIC + b"\x00")
+    with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(str(bad), SearchConfig(n_min=3, n_max=4))
+
+
+def test_checkpoint_length_past_end(tmp_path):
+    bad = _raw_checkpoint(tmp_path / "long.bin", b'{"config": {}, "entries": []}', 500)
+    with pytest.raises(ValueError, match="past the end"):
+        load_checkpoint(bad, SearchConfig(n_min=3, n_max=4))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [1, 2],
+        {"config": [], "entries": []},
+        {"config": {}, "entries": {}},
+        {"config": {}, "entries": [1]},
+        {"config": {}, "entries": [{"n": "4"}]},
+        {"config": {}, "entries": [{"n": True}]},
+    ],
+)
+def test_checkpoint_malformed_payload(tmp_path, payload):
+    bad = _raw_checkpoint(tmp_path / "bad.bin", json.dumps(payload).encode())
+    with pytest.raises(ValueError, match="payload"):
+        load_checkpoint(bad, SearchConfig(n_min=3, n_max=4))
 
 
 def test_checkpoint_partial_resume(tmp_path):

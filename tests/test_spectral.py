@@ -18,6 +18,7 @@ from spexlab.constructions import (
     PathPartition,
     construct,
     family_partition,
+    fill_partition,
     joined_paths,
 )
 from spexlab.graph import (
@@ -39,7 +40,6 @@ from spexlab.spectral import (
     check_lower_bound_claim11,
     check_shu_bound,
     joined_paths_radius,
-    lower_bound_witness,
     rayleigh_quotient,
     spectral_radius,
     strict_compare,
@@ -227,39 +227,78 @@ def test_shu_bound_reports():
 
 
 def test_lower_bound_witness_and_report():
-    g = lower_bound_witness(20, 4)
+    g = construct(FamilySpec("claimw", 20, t=4))
     assert g.n == 20 and g.degree(0) == 19
     assert g.edge_count() == 19 + 3
     for n, t in [(10, 1), (50, 3), (200, 20)]:
-        assert check_lower_bound_claim11(n, t).passed
+        rep = check_lower_bound_claim11(n, t)
+        assert rep.passed
+        # the quotient rho agrees with power iteration on the built witness
+        est = spectral_radius(construct(FamilySpec("claimw", n, t=t)))
+        assert abs(rep.rhs - est.rho) <= rep.details["residual"] + est.residual
     with pytest.raises(ValueError):
-        lower_bound_witness(5, 1)
+        check_lower_bound_claim11(5, 1)
     with pytest.raises(ValueError):
-        lower_bound_witness(20, 10)
+        check_lower_bound_claim11(20, 10)
+
+
+def reference_box(g: Graph, hubs: int, box_eps: float = 1e-9):
+    """The eigenvector box computed on the built graph: check that hubs
+    0..hubs-1 are adjacent and dominate a disjoint union of paths, then box the Perron
+    vector from spectral_radius. Returns (passed, worst, rho, residual)."""
+    for h in range(hubs):
+        assert g.degree(h) == g.n - 1
+    assert hubs == 1 or g.has_edge(0, 1)
+    rest = g.induced_subgraph(range(hubs, g.n))
+    assert all(rest.degree(v) <= 2 for v in range(rest.n))
+    assert rest.edge_count() == rest.n - len(rest.components())
+    est = spectral_radius(g)
+    x, rho = est.perron_max, est.rho
+    c, width = (1.0, 2.04) if hubs == 1 else (2.0, 4.496)
+    lo, hi = c / rho, c / rho + width / rho**2
+    off = x[hubs:]
+    worst = max(float((lo - off).max()), float((off - hi).max()), 0.0)
+    worst = max(worst, max(abs(x[h] - 1.0) for h in range(hubs)))
+    return worst <= box_eps, worst, rho, est.residual
+
+
+BOX_GRID = [  # claim-3.1 and lemma-lm4 suite grids, then the n = 600 families
+    (1, fill_partition(4999, 5, 3)),
+    (1, fill_partition(4999, 9, 2)),
+    (1, fill_partition(11999, 5, 3)),
+    (1, fill_partition(11999, 9, 2)),
+    (2, fill_partition(4998, 7, 3)),
+    (1, family_partition(FamilySpec("k1hop", 600, t=3, l=5))),
+    (2, family_partition(FamilySpec("k2hp", 600, t=3, l=5))),
+]
+
+
+@pytest.mark.parametrize(
+    "hubs,h", BOX_GRID, ids=[f"hub{hubs}-n{h.total + hubs}-{h.part(1)}" for hubs, h in BOX_GRID]
+)
+def test_eigenvector_box_matches_built_graph(hubs, h):
+    rep = check_eigenvector_box(hubs, h)
+    passed, worst, rho, residual = reference_box(joined_paths(hubs, h), hubs)
+    assert rep.name == f"eigenvector-box-hub{hubs}"
+    assert rep.passed == passed
+    assert abs(rep.details["rho"] - rho) <= rep.details["residual"] + residual
+    assert abs(rep.lhs - worst) <= 1e-12
 
 
 def test_eigenvector_box_regimes():
     # hub2 box is valid once rho is moderately large
-    g2 = construct(FamilySpec("k2hp", 600, t=3, l=5))
-    rep = check_eigenvector_box(g2, "hub2")
+    rep = check_eigenvector_box(2, family_partition(FamilySpec("k2hp", 600, t=3, l=5)))
     assert rep.passed and rep.details["box_low"] <= rep.details["min_entry"]
     # hub1 box needs rho >= 102, far beyond n=600: an honest failure
-    g1 = construct(FamilySpec("k1hop", 600, t=3, l=5))
-    rep1 = check_eigenvector_box(g1, "hub1")
+    rep1 = check_eigenvector_box(1, family_partition(FamilySpec("k1hop", 600, t=3, l=5)))
     assert not rep1.passed and rep1.lhs > 0
 
 
 def test_eigenvector_box_validation():
+    # a PathPartition is always a union of paths; only the hub count can
+    # name no family
     with pytest.raises(ValueError):
-        check_eigenvector_box(path(5), "hub1")  # no dominating hub
-    with pytest.raises(ValueError):
-        check_eigenvector_box(join(complete(1), cycle(5)), "hub1")  # rim cycle
-    with pytest.raises(ValueError):
-        check_eigenvector_box(join(complete(1), path(5)), "hub3")
-    with pytest.raises(ValueError):
-        # two dominating hubs but no hub-hub edge
-        g = join(empty_graph(2), path(4))
-        check_eigenvector_box(g, "hub2")
+        check_eigenvector_box(3, PathPartition([5]))
 
 
 # hub-joined path families through the equitable quotient
