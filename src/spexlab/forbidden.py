@@ -283,35 +283,24 @@ def _pack_hub_cycles(masks: list[int], t: int) -> list[int] | None:
     repeatedly strips the most reused vertex (a packing can use at most one
     set through it), which refutes join-like graphs -- where nearly every
     cycle runs through one high-degree vertex -- at the root instead of by
-    exhaustion. Vertex uses are counted once per bound; each strip then
-    updates the counts from the smaller side, subtracting the sets it drops
-    or recounting the sets it keeps.
+    exhaustion.
     """
 
-    def count(work: list[int], counts: dict[int, int], step: int) -> None:
-        for m in work:
-            while m:
-                b = m & -m
-                counts[b] = counts.get(b, 0) + step
-                m ^= b
-
     def upper(avail: list[int]) -> int:
-        work = [masks[i] for i in avail]
-        counts: dict[int, int] = {}
-        count(work, counts, 1)
         bound = 0
+        work = [masks[i] for i in avail]
         while work:
+            counts: dict[int, int] = {}
+            for m in work:
+                while m:
+                    b = m & -m
+                    counts[b] = counts.get(b, 0) + 1
+                    m ^= b
             top, c = max(counts.items(), key=lambda kv: kv[1])
             if c <= 1:
                 return bound + len(work)  # pairwise disjoint from here
             bound += 1
-            kept = [m for m in work if not m & top]
-            if len(kept) < c:
-                counts = {}
-                count(kept, counts, 1)
-            else:
-                count([m for m in work if m & top], counts, -1)
-            work = kept
+            work = [m for m in work if not m & top]
         return bound
 
     def rec(avail: list[int], k: int) -> list[int] | None:

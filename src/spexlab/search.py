@@ -315,6 +315,19 @@ def save_checkpoint(path: str, config: SearchConfig, entries: list[dict]) -> Non
         fh.write(CHECKPOINT_MAGIC + struct.pack(">I", len(payload)) + payload)
 
 
+def _valid_entry(e: object) -> bool:
+    """True if ``e`` has every key the reports read, with the right types."""
+    return (
+        isinstance(e, dict)
+        and type(e.get("n")) is int
+        and type(e.get("candidates")) is int
+        and type(e.get("best_rho")) in (int, float)
+        and type(e.get("seconds", 0.0)) in (int, float)
+        and isinstance(e.get("certificates"), list)
+        and all(isinstance(c, str) for c in e["certificates"])
+    )
+
+
 def load_checkpoint(path: str, config: SearchConfig) -> list[dict] | None:
     """Entries completed by a previous run of the same config, else None."""
     try:
@@ -334,13 +347,12 @@ def load_checkpoint(path: str, config: SearchConfig) -> list[dict] | None:
         isinstance(payload, dict)
         and isinstance(payload.get("config"), dict)
         and isinstance(payload.get("entries"), list)
-        and all(
-            isinstance(e, dict) and type(e.get("n")) is int for e in payload["entries"]
-        )
+        and all(_valid_entry(e) for e in payload["entries"])
     ):
         raise ValueError(
             f"{path}: checkpoint payload needs a config object and a list of"
-            " entries with integer n"
+            " entries with integer n and candidates, numeric best_rho and a"
+            " list of certificate strings"
         )
     if payload["config"] != config.key_dict():
         return None

@@ -420,7 +420,7 @@ def check_eigenvector_box(
     c, width = (1.0, 2.04) if hubs == 1 else (2.0, 4.496)
     lo = c / rho
     hi = c / rho + width / rho**2
-    hub_gap = max(abs(x[h] - 1.0) for h in range(hubs))
+    hub_gap = max(abs(x[i] - 1.0) for i in range(hubs))
     rest = x[hubs:]
     worst = 0.0
     if rest.size:

@@ -195,6 +195,17 @@ def test_malformed_checkpoint_exits_1(tmp_path, capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, name
         assert err.startswith("error:"), name
+    # a payload whose config matches this search but whose entries are bare
+    ckpt = tmp_path / "bare.bin"
+    argv = ("search", "--nmin", "3", "--nmax", "4", "--checkpoint", str(ckpt))
+    assert run_cli(capsys, *argv)[0] == 0
+    config = json.loads(ckpt.read_bytes()[13:])["config"]
+    payload = json.dumps({"config": config, "entries": [{"n": 3}]}).encode()
+    ckpt.write_bytes(header + len(payload).to_bytes(4, "big") + payload)
+    for fmt in ("text", "csv", "g6", "json"):
+        code, _, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 1, fmt
+        assert err.startswith("error:"), fmt
 
 
 def test_unreadable_config_exits_1(tmp_path, capsys):

@@ -166,6 +166,16 @@ def test_checkpoint_roundtrip_and_resume(tmp_path):
         load_checkpoint(str(bad), cfg)
 
 
+GOOD_ENTRY = {
+    "n": 3,
+    "best_rho": 2.0,
+    "certificates": ["Bw"],
+    "candidates": 2,
+    "pruned": {},
+    "seconds": 0.0,
+}
+
+
 def _raw_checkpoint(path, payload: bytes, length: int | None = None) -> str:
     size = len(payload) if length is None else length
     path.write_bytes(CHECKPOINT_MAGIC + struct.pack(">I", size) + payload)
@@ -195,12 +205,37 @@ def test_checkpoint_length_past_end(tmp_path):
         {"config": {}, "entries": [1]},
         {"config": {}, "entries": [{"n": "4"}]},
         {"config": {}, "entries": [{"n": True}]},
+        {"config": {}, "entries": [{"n": 3}]},
+        {"config": {}, "entries": [dict(GOOD_ENTRY, certificates="Bw")]},
+        {"config": {}, "entries": [dict(GOOD_ENTRY, certificates=[1])]},
+        {"config": {}, "entries": [dict(GOOD_ENTRY, best_rho="2.0")]},
+        {"config": {}, "entries": [dict(GOOD_ENTRY, best_rho=None)]},
+        {"config": {}, "entries": [dict(GOOD_ENTRY, candidates=2.0)]},
+        {"config": {}, "entries": [dict(GOOD_ENTRY, seconds="0")]},
     ],
 )
 def test_checkpoint_malformed_payload(tmp_path, payload):
     bad = _raw_checkpoint(tmp_path / "bad.bin", json.dumps(payload).encode())
     with pytest.raises(ValueError, match="payload"):
         load_checkpoint(bad, SearchConfig(n_min=3, n_max=4))
+
+
+def test_checkpoint_well_formed_entry_loads(tmp_path):
+    cfg = SearchConfig(n_min=3, n_max=4)
+    for entry in (GOOD_ENTRY, {k: v for k, v in GOOD_ENTRY.items() if k != "seconds"}):
+        payload = {"config": cfg.key_dict(), "entries": [entry]}
+        ok = _raw_checkpoint(tmp_path / "ok.bin", json.dumps(payload).encode())
+        assert load_checkpoint(ok, cfg) == [entry]
+
+
+def test_search_rejects_config_matching_bare_entries(tmp_path):
+    """Entries that match the config but lack the keys the reports read
+    must fail at load time, not later with a KeyError."""
+    cfg = SearchConfig(n_min=3, n_max=4)
+    payload = {"config": cfg.key_dict(), "entries": [{"n": 3}]}
+    bare = _raw_checkpoint(tmp_path / "bare.bin", json.dumps(payload).encode())
+    with pytest.raises(ValueError, match="payload"):
+        exhaustive_spex(SearchConfig(n_min=3, n_max=4, checkpoint=bare))
 
 
 def test_checkpoint_partial_resume(tmp_path):
