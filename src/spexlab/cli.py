@@ -342,8 +342,11 @@ def _emit(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write --out {out}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
 

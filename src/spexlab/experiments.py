@@ -29,6 +29,7 @@ from .graph6 import graph6_decode
 from .recognition import is_outerplanar, is_planar
 from .search import SearchConfig, enumerate_class, exhaustive_spex
 from .spectral import (
+    ConvergenceError,
     check_eigenvector_box,
     check_lower_bound_claim11,
     check_shu_bound,
@@ -77,7 +78,10 @@ class SuiteResult:
 def _run_cases(suite: str, cases: list[Case], details: dict | None = None) -> SuiteResult:
     result = SuiteResult(suite, len(cases), 0, details=details or {})
     for name, fn in cases:
-        verdict, info = fn()
+        try:
+            verdict, info = fn()
+        except ConvergenceError as e:  # no verdict either way at this tol
+            verdict, info = "indeterminate", {"error": str(e)}
         record = {"case": name, **info}
         if verdict == "pass":
             result.passes += 1

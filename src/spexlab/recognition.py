@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import networkx as nx
 
-from .graph import Graph, complete, join
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -34,10 +35,106 @@ def is_planar(g: Graph) -> PlanarityVerdict:
 
 
 def is_outerplanar(g: Graph) -> PlanarityVerdict:
-    """g is outerplanar iff K1 v g is planar."""
-    verdict = is_planar(join(complete(1), g))
-    tag = "apex-" + verdict.witness
-    return PlanarityVerdict(verdict.planar, tag)
+    """Linear-time outerplanarity (S. L. Mitchell, Inf. Process. Lett. 9,
+    1979; M. Wiegers, WG 1986): g is outerplanar iff every biconnected
+    block reduces to one edge by removing degree-2 vertices, where removing
+    v with neighbours u, w adds the edge uw if it is missing and no edge may
+    lie in more than two of the removed triangles uvw.
+
+    Witness tags: "edge-bound" (more than 2n-3 edges), "reduced" (every
+    block reduces), "triangle-overflow" (an edge in three triangles: a
+    K2,3 minor) and "reduction-stuck" (a block of minimum degree 3: a K4
+    minor).
+    """
+    if quick_reject_outerplanar(g) is False:
+        return PlanarityVerdict(False, "edge-bound")
+    for block in _blocks(g):
+        if len(block) > 1:  # single edges are bridges
+            failure = _reduce_block(block)
+            if failure:
+                return PlanarityVerdict(False, failure)
+    return PlanarityVerdict(True, "reduced")
+
+
+def _blocks(g: Graph) -> Iterator[list[tuple[int, int]]]:
+    """Edge lists of the biconnected blocks of g, from one iterative
+    Hopcroft-Tarjan depth-first search; it keeps its own stack, so a path
+    on ``MAX_VERTICES`` vertices does not hit the recursion limit."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, r in enumerate(g.rows()):
+        r >>= u + 1  # neighbours above u; shifting keeps the ints short
+        w = u
+        while r:
+            k = (r & -r).bit_length()
+            w += k
+            adj[u].append(w)
+            adj[w].append(u)
+            r >>= k
+    disc = [0] * g.n  # discovery time, 0 = unvisited
+    low = [0] * g.n
+    clock = 0
+    for root in range(g.n):
+        if disc[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        edges: list[tuple[int, int]] = []
+        # frames: vertex, DFS parent, neighbour iterator, and the length of
+        # the edge stack before the tree edge into the vertex
+        stack = [(root, -1, iter(adj[root]), 0)]
+        while stack:
+            v, parent, it, mark = stack[-1]
+            for w in it:
+                if not disc[w]:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    stack.append((w, v, iter(adj[w]), len(edges)))
+                    edges.append((v, w))
+                    break
+                if disc[w] < disc[v] and w != parent:  # back edge
+                    edges.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:  # u separates v's subtree
+                        yield edges[mark:]
+                        del edges[mark:]
+
+
+def _reduce_block(edges: list[tuple[int, int]]) -> str | None:
+    """Degree-2 reduction of one biconnected block with at least three
+    vertices; None if it reduces to one edge, else the failure tag. Each
+    vertex maps its neighbours to the number of removed triangles on that
+    edge. Degrees never rise, and a biconnected block keeps minimum degree
+    2 until two vertices are left, so each vertex is queued at most once."""
+    adj: dict[int, dict[int, int]] = {}
+    for u, w in edges:
+        adj.setdefault(u, {})[w] = 0
+        adj.setdefault(w, {})[u] = 0
+    todo = [v for v, nbrs in adj.items() if len(nbrs) == 2]
+    left = len(adj)
+    while left > 2:
+        if not todo:
+            return "reduction-stuck"
+        v = todo.pop()
+        (u, cu), (w, cw) = adj.pop(v).items()
+        left -= 1
+        nu, nw = adj[u], adj[w]
+        del nu[v], nw[v]
+        present = w in nu
+        c = nu.get(w, 0)
+        if cu == 2 or cw == 2 or c == 2:
+            return "triangle-overflow"
+        nu[w] = nw[u] = c + 1
+        if present:  # so u and w each lost a neighbour
+            if len(nu) == 2:
+                todo.append(u)
+            if len(nw) == 2:
+                todo.append(w)
+    return None
 
 
 def quick_reject_outerplanar(g: Graph) -> bool | None:

@@ -311,8 +311,11 @@ def save_checkpoint(path: str, config: SearchConfig, entries: list[dict]) -> Non
     payload = json.dumps(
         {"config": config.key_dict(), "entries": entries}, sort_keys=True
     ).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC + struct.pack(">I", len(payload)) + payload)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC + struct.pack(">I", len(payload)) + payload)
+    except OSError as e:
+        raise ValueError(f"cannot write checkpoint {path}: {e.strerror}") from None
 
 
 def _valid_entry(e: object) -> bool:
@@ -335,6 +338,8 @@ def load_checkpoint(path: str, config: SearchConfig) -> list[dict] | None:
             blob = fh.read()
     except FileNotFoundError:
         return None
+    except OSError as e:
+        raise ValueError(f"cannot read checkpoint {path}: {e.strerror}") from None
     if not blob.startswith(CHECKPOINT_MAGIC):
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
     if len(blob) < 13:

@@ -60,6 +60,16 @@ def all_labeled_graphs(n: int):
         yield from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
 
 
+def atlas_classes(n: int) -> list[Graph]:
+    """One graph per isomorphism class on n <= 7 vertices, from networkx's
+    graph atlas (independent of spexlab's canonical labelling)."""
+    return [
+        from_edges(n, G.edges())
+        for G in nx.graph_atlas_g()
+        if G.number_of_nodes() == n
+    ]
+
+
 def iso_key(g: Graph) -> str:
     """Isomorphism-invariant bucket key, independent of spexlab's canon.
 

@@ -215,6 +215,18 @@ def test_unreadable_config_exits_1(tmp_path, capsys):
     assert err.startswith("usage error:") and "missing.cfg" in err
 
 
+def test_bad_paths_exit_1(tmp_path, capsys):
+    missing = tmp_path / "missing_dir"
+    for argv, shown in [
+        (("search", "--nmin", "3", "--nmax", "4", "--checkpoint", str(tmp_path)), str(tmp_path)),
+        (("search", "--nmin", "3", "--nmax", "4", "--checkpoint", str(missing / "c.bin")), "c.bin"),
+        (("rho", "--family", "star:n=5", "--out", str(missing / "x.json")), "x.json"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == "" and shown in err, argv
+
+
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "rho", "--help")[0] == 0

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from spexlab.experiments import SUITE_NOTES, SUITES, run_suite, traceability
+from spexlab.experiments import (
+    SUITE_NOTES,
+    SUITES,
+    _run_cases,
+    run_suite,
+    traceability,
+)
+from spexlab.spectral import ConvergenceError, SpectralEstimate
 
 EXPECTED_SUITES = {
     "claim-1.1",
@@ -98,3 +106,28 @@ def test_params_shape_the_run():
     small = run_suite("claim-1.1", {"n_values": (10,)})
     large = run_suite("claim-1.1", {"n_values": (10, 25, 50)})
     assert small.cases < large.cases
+
+
+def test_unconverged_case_is_indeterminate():
+    best = SpectralEstimate(2.0, 1e-12, 5, np.ones(1), np.ones(1))
+
+    def unconverged():
+        raise ConvergenceError("quotient residual 1e-12 above tol 1e-13", best)
+
+    r = _run_cases(
+        "synthetic",
+        [("ok", lambda: ("pass", {})), ("stuck", unconverged)],
+    )
+    assert (r.cases, r.passes, r.failures) == (2, 1, [])
+    assert r.indeterminates == [
+        {"case": "stuck", "error": "quotient residual 1e-12 above tol 1e-13"}
+    ]
+    assert r.ok
+
+
+def test_other_case_errors_propagate():
+    def broken():
+        raise ZeroDivisionError("bug")
+
+    with pytest.raises(ZeroDivisionError):
+        _run_cases("synthetic", [("broken", broken)])

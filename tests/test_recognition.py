@@ -1,9 +1,11 @@
-"""Planarity/outerplanarity vs an independent forbidden-minor oracle.
+"""Planarity/outerplanarity vs independent oracles.
 
-The oracle breadth-first-searches edge contractions and checks the target
-subgraph at every stage: H is a minor of G iff some contraction sequence of
-G contains H as a subgraph. Outerplanar = no K4 and no K2,3 minor; planar =
-no K5 and no K3,3 minor.
+The minor oracle breadth-first-searches edge contractions and checks the
+target subgraph at every stage: H is a minor of G iff some contraction
+sequence of G contains H as a subgraph. Outerplanar = no K4 and no K2,3
+minor; planar = no K5 and no K3,3 minor. The apex oracle decides
+outerplanarity as planarity of G plus one vertex adjacent to all of G,
+built and tested in networkx alone.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 from helpers import all_labeled_graphs, iso_classes, random_graph, to_nx
 from spexlab.constructions import FamilySpec, construct
 from spexlab.graph import (
+    MAX_VERTICES,
     Graph,
     complete,
     complete_bipartite,
@@ -27,7 +30,9 @@ from spexlab.graph import (
     path,
     star,
 )
+import spexlab.recognition as recognition
 from spexlab.recognition import (
+    PlanarityVerdict,
     is_outerplanar,
     is_planar,
     quick_reject_outerplanar,
@@ -108,11 +113,34 @@ def test_known_graphs():
     assert is_planar(empty_graph(0)) and is_outerplanar(empty_graph(0))
 
 
+def apex_outerplanar(g: Graph) -> bool:
+    """G is outerplanar iff G plus an apex adjacent to every vertex is
+    planar; networkx's left-right test decides the latter."""
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    G.add_edges_from(("apex", v) for v in range(g.n))
+    return nx.check_planarity(G, counterexample=False)[0]
+
+
+def _subdivided_k4() -> Graph:
+    edges = []
+    for i, (u, v) in enumerate(complete(4).edges()):
+        edges += [(u, 4 + i), (4 + i, v)]
+    return from_edges(10, edges)
+
+
 def test_verdict_carries_witness_tag():
     v = is_planar(complete(5))
     assert not v and v.witness == "lr-obstruction"
-    w = is_outerplanar(path(3))
-    assert w and w.witness.startswith("apex-")
+    assert is_outerplanar(path(3)) == PlanarityVerdict(True, "reduced")
+    assert is_outerplanar(complete(4)) == PlanarityVerdict(False, "edge-bound")
+    assert is_outerplanar(complete_bipartite(2, 3)) == PlanarityVerdict(
+        False, "triangle-overflow"
+    )
+    assert is_outerplanar(_subdivided_k4()) == PlanarityVerdict(
+        False, "reduction-stuck"
+    )
 
 
 def test_family_membership():
@@ -157,3 +185,80 @@ def test_quick_rejects():
     assert quick_reject_planar(complete(5)) is False
     assert quick_reject_planar(complete(4)) is None
     assert quick_reject_outerplanar(empty_graph(1)) is None
+
+
+def test_atlas_against_apex_oracle():
+    for G in nx.graph_atlas_g():
+        g = from_edges(G.number_of_nodes(), G.edges())
+        assert bool(is_outerplanar(g)) == apex_outerplanar(g), g.rows()
+
+
+def test_random_graphs_against_apex_oracle():
+    rnd = random.Random(20261018)
+    for _ in range(5000):
+        n = rnd.randint(3, 16)
+        g = random_graph(rnd, n, rnd.choice([0.1, 0.2, 0.3, 0.45, 0.7]))
+        assert bool(is_outerplanar(g)) == apex_outerplanar(g), g.rows()
+
+
+def _glued_graph(rnd: random.Random) -> Graph:
+    """Random small graphs, each sharing one vertex with an earlier one (a
+    cut vertex) or none, plus isolated vertices, randomly relabelled."""
+    n, edges = 0, []
+    for _ in range(rnd.randint(1, 5)):
+        size = rnd.randint(1, 7)
+        h = random_graph(rnd, size, rnd.choice([0.3, 0.5, 0.8]))
+        if n and rnd.random() < 0.7:
+            label = [rnd.randrange(n)] + list(range(n, n + size - 1))
+        else:
+            label = list(range(n, n + size))
+        n = max(n, label[-1] + 1)
+        edges += [(label[a], label[b]) for a, b in h.edges()]
+    n += rnd.randint(0, 3)
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    return from_edges(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+def test_disconnected_and_cut_vertices_against_apex_oracle():
+    k4 = from_edges(7, complete(4).edges())  # K4 plus 3 isolated vertices
+    k23 = from_edges(8, complete_bipartite(2, 3).edges())
+    bowtie = from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+    cases = [k4, k23, bowtie, empty_graph(5), from_edges(4, [(0, 1)])]
+    rnd = random.Random(1018)
+    cases += [_glued_graph(rnd) for _ in range(2000)]
+    for g in cases:
+        assert bool(is_outerplanar(g)) == apex_outerplanar(g), (g.n, g.rows())
+    assert is_outerplanar(k4).witness == "reduction-stuck"
+    assert is_outerplanar(k23).witness == "triangle-overflow"
+    assert is_outerplanar(bowtie).witness == "reduced"
+
+
+FAMILY_SPECS = [
+    "star:n={n}",
+    "jn:n={n}",
+    "claimw:t=2,n={n}",
+    "wheel:n={n}",
+    "k1hop:t=2,l=4,n={n}",
+    "k2hp:t=2,l=4,n={n}",
+    "k2n2:n={n}",
+]
+
+
+@pytest.mark.parametrize("template", FAMILY_SPECS)
+def test_families_against_apex_oracle(template):
+    for n in (12, 13, 40, 10_000):
+        g = construct(FamilySpec.parse(template.format(n=n)))
+        assert bool(is_outerplanar(g)) == apex_outerplanar(g), (template, n)
+
+
+def test_long_path_needs_no_recursion():
+    assert is_outerplanar(path(MAX_VERTICES)) == PlanarityVerdict(True, "reduced")
+
+
+def test_outerplanarity_builds_no_networkx_graph(monkeypatch):
+    monkeypatch.setattr(recognition, "nx", None)
+    for g in (path(5), complete(4), complete_bipartite(2, 3), _subdivided_k4()):
+        is_outerplanar(g)
+    with pytest.raises(AttributeError):
+        is_planar(path(5))
