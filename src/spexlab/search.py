@@ -5,7 +5,8 @@ membership (outerplanar/planar) and F-freeness are closed under edge
 deletion, so every qualifying graph is reachable through qualifying
 intermediates and violating branches can be pruned outright. Isomorph
 rejection uses a canonical form from partition refinement with
-individualization (practical for n <= 16).
+individualization (practical for n <= 16); the automorphisms it finds let
+each parent add one edge per orbit of its non-edges.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import time
 from dataclasses import dataclass, field
 from random import Random
 from typing import Iterator
+
+import numpy as np
 
 from .forbidden import ForbiddenSpec, is_free
 from .graph import Graph, empty_graph
@@ -113,79 +116,133 @@ class SearchReport:
 # canonical labeling
 
 
-def _refine(g: Graph, colors: list[int]) -> list[int]:
-    """Equitable refinement: recolor by (color, sorted neighbor colors)
-    until stable. Color order is derived from sorted signatures, so the
-    result is isomorphism-invariant."""
+def _refine(
+    nbrs: list[list[int]], colors: list[int]
+) -> tuple[list[int], list[list[int]]]:
+    """Equitable refinement of dense colors 0..k-1 whose cells each hold
+    vertices of one degree: recolor by (color, sorted neighbor colors)
+    until stable; returns the colors and the cells in color order.
+
+    A new color is the rank of the vertex's signature among all distinct
+    signatures, so the result is isomorphism-invariant. Signatures sort by
+    color first, so a vertex alone in its cell needs no neighbor colors.
+    Inside a cell the sorted tuples have one length, so they order as
+    their color-count vectors in reverse (more neighbors of the smallest
+    differing color is the smaller tuple); each count vector is packed
+    into one integer, 4 bits a color, as counts stay below n <= 16.
+    """
+    n = len(colors)
     while True:
-        sigs = []
-        for v in range(g.n):
-            nb = sorted(colors[u] for u in g.neighbors(v))
-            sigs.append((colors[v], tuple(nb)))
-        index = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [index[s] for s in sigs]
+        cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        weight = [1 << 4 * (n - 1 - c) for c in colors]
+        new = [0] * n
+        base = 0
+        for cell in cells:
+            if len(cell) == 1:
+                new[cell[0]] = base
+                base += 1
+                continue
+            sigs = [sum(map(weight.__getitem__, nbrs[v])) for v in cell]
+            distinct = sorted(set(sigs), reverse=True)
+            rank = {s: i for i, s in enumerate(distinct, base)}
+            for v, s in zip(cell, sigs):
+                new[v] = rank[s]
+            base += len(rank)
         if new == colors:
-            return colors
+            return colors, cells
         colors = new
 
 
-def _cells(colors: list[int]) -> dict[int, list[int]]:
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    return cells
-
-
-def _homogeneous(g: Graph, cell: list[int]) -> bool:
+def _homogeneous(rows: tuple[int, ...], cell: list[int]) -> bool:
     """True when every permutation of the cell is an automorphism (same
     neighbors outside the cell, and the cell induces a clique or an
     independent set); then one individualization branch suffices."""
-    members = set(cell)
-    outside = None
+    members = 0
+    for v in cell:
+        members |= 1 << v
+    outside = rows[cell[0]] & ~members
     inside = 0
     for v in cell:
-        ext = frozenset(u for u in g.neighbors(v) if u not in members)
-        if outside is None:
-            outside = ext
-        elif ext != outside:
+        if rows[v] & ~members != outside:
             return False
-        inside += sum(1 for u in g.neighbors(v) if u in members)
+        inside += (rows[v] & members).bit_count()
     k = len(cell)
     return inside == 0 or inside == k * (k - 1)
 
 
-def _canon_search(g: Graph, colors: list[int], best: list[bytes | None]) -> None:
-    colors = _refine(g, colors)
-    target = None
-    for c in sorted(_cells(colors).items()):
-        if len(c[1]) > 1:
-            target = c[1]
-            break
-    if target is None:
-        perm = [0] * g.n  # colors are a permutation once all cells split
-        for v, c in enumerate(colors):
-            perm[v] = c
-        enc = graph6_encode(g.relabel(perm)).encode("ascii")
-        if best[0] is None or enc < best[0]:
-            best[0] = enc
-        return
-    if _homogeneous(g, target):
-        target = target[:1]
-    for v in target:
-        branch = [2 * c for c in colors]
-        branch[v] -= 1  # individualize v just below its cell
-        _canon_search(g, branch, best)
+def _canon(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
+    """Canonical form of ``g`` and automorphisms of ``g`` met on the way,
+    each as a tuple mapping vertex v to its image.
+
+    Every leaf of the individualization tree is a labelling; the form is
+    the graph6 of the leaf whose graph6 bytes are smallest. A leaf is
+    compared by an integer key: the upper triangle under its labelling,
+    read column by column (the graph6 bit order), MSB first. For a fixed n
+    these keys order the leaves as their graph6 bytes do, so only the
+    winning leaf is relabeled and encoded. Two leaves with equal keys give
+    the same labeled graph, so one labelling followed by the inverse of the
+    other is an automorphism; a homogeneous cell contributes the
+    transpositions of its members.
+    """
+    if g.n > 16:
+        raise ValueError("canonical_form is limited to n <= 16")
+    n = g.n
+    rows = g.rows()
+    nbrs = [list(g.neighbors(v)) for v in range(n)]
+    gens: list[tuple[int, ...]] = []
+    best_key = -1
+    best_perm: list[int] = []
+    best_inv: list[int] = []
+
+    def leaf(perm: list[int]) -> None:
+        nonlocal best_key, best_perm, best_inv
+        inv = [0] * n
+        for v, c in enumerate(perm):
+            inv[c] = v
+        key = 0
+        for j in range(1, n):
+            col = 0
+            for u in nbrs[inv[j]]:
+                i = perm[u]
+                if i < j:
+                    col |= 1 << (j - 1 - i)
+            key = key << j | col
+        if best_key < 0 or key < best_key:
+            best_key, best_perm, best_inv = key, perm, inv
+        elif key == best_key:
+            gens.append(tuple(best_inv[c] for c in perm))
+
+    def search(colors: list[int]) -> None:
+        colors, cells = _refine(nbrs, colors)
+        target = next((cell for cell in cells if len(cell) > 1), None)
+        if target is None:
+            leaf(colors)  # colors are a permutation once all cells split
+            return
+        if _homogeneous(rows, target):
+            for w in target[1:]:
+                swap = list(range(n))
+                swap[target[0]], swap[w] = w, target[0]
+                gens.append(tuple(swap))
+            target = target[:1]
+        c = colors[target[0]]
+        for v in target:
+            branch = [x + (x >= c) for x in colors]
+            branch[v] = c  # individualize v just below the rest of its cell
+            search(branch)
+
+    degrees = [len(nb) for nb in nbrs]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    search([rank[d] for d in degrees])  # what refining all-equal colors gives
+    form = graph6_encode(g.relabel(best_perm)).encode("ascii")
+    return form, list(dict.fromkeys(gens))
 
 
 def canonical_form(g: Graph) -> bytes:
     """Isomorphism-invariant bytes (the graph6 of a canonical relabeling);
     equal strings iff isomorphic. Refinement-based; intended for n <= 16."""
-    if g.n > 16:
-        raise ValueError("canonical_form is limited to n <= 16")
-    best: list[bytes | None] = [None]
-    _canon_search(g, [0] * g.n, best)
-    assert best[0] is not None
-    return best[0]
+    return _canon(g)[0]
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -204,43 +261,108 @@ def _class_checks(klass: str):
     raise ValueError(f"class must be one of {CLASSES}, got {klass!r}")
 
 
+def _orbit_minima(g: Graph, gens: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """Non-edges uv (u < v) that are lexicographically smallest in their
+    orbit under the group generated by ``gens``, in lexicographic order.
+
+    A union-find over pair indices u*n+v keeps the smallest index as each
+    root, so a non-edge is its orbit's minimum iff it is its own root.
+    """
+    n = g.n
+    rows = g.rows()
+    free = [
+        u * n + v for u in range(n) for v in range(u + 1, n) if not rows[u] >> v & 1
+    ]
+    root = list(range(n * n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for s in gens:
+        for p in free:
+            a, b = s[p // n], s[p % n]
+            q = a * n + b if a < b else b * n + a
+            rp, rq = find(p), find(q)
+            if rp != rq:
+                root[max(rp, rq)] = min(rp, rq)
+    return [divmod(p, n) for p in free if find(p) == p]
+
+
 def _enumerate_levels(
     n: int,
     klass: str,
     forbidden: ForbiddenSpec | None,
     stats: dict[str, int],
-) -> Iterator[Graph]:
+) -> Iterator[tuple[bytes, Graph]]:
+    """(canonical form, representative) for every qualifying class, level
+    by level.
+
+    Each parent adds one edge per orbit of its non-edges under the
+    automorphisms found while canonicalizing it, choosing the orbit's
+    lexicographically smallest non-edge. The first child of a new class in
+    (parent, u, v) order is always such a minimum (a smaller non-edge in
+    its orbit would give an isomorphic child earlier), so the stored
+    representatives, and the counters below, are those of adding every
+    non-edge: ``children`` counts all non-edges of the qualifying parents
+    and ``duplicate`` all of them that give no new class.
+    """
     quick, full = _class_checks(klass)
-    seen = {canonical_form(empty_graph(n))}
-    level = [empty_graph(n)]
-    yield level[0]
+    root = empty_graph(n)
+    form, gens = _canon(root)
+    seen = {form}
+    level = [(form, root, gens)]
+    yield form, root
     while level:
-        nxt: list[tuple[bytes, Graph]] = []
-        for g in level:
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if g.has_edge(u, v):
-                        continue
-                    child = g.add_edge(u, v)
-                    stats["children"] += 1
-                    form = canonical_form(child)
-                    if form in seen:
-                        stats["duplicate"] += 1
-                        continue
-                    seen.add(form)
-                    if quick(child) is False:
-                        stats["quick_reject"] += 1
-                        continue
-                    if not full(child):
-                        stats["class_reject"] += 1
-                        continue
-                    if forbidden is not None and not is_free(child, forbidden):
-                        stats["forbidden_reject"] += 1
-                        continue
-                    nxt.append((form, child))
+        nxt: list[tuple[bytes, Graph, list[tuple[int, ...]]]] = []
+        for _, g, gens in level:
+            free = n * (n - 1) // 2 - g.edge_count()
+            stats["children"] += free
+            stats["duplicate"] += free
+            for u, v in _orbit_minima(g, gens):
+                child = g.add_edge(u, v)
+                form, child_gens = _canon(child)
+                if form in seen:
+                    continue
+                seen.add(form)
+                stats["duplicate"] -= 1
+                if quick(child) is False:
+                    stats["quick_reject"] += 1
+                    continue
+                if not full(child):
+                    stats["class_reject"] += 1
+                    continue
+                if forbidden is not None and not is_free(child, forbidden):
+                    stats["forbidden_reject"] += 1
+                    continue
+                nxt.append((form, child, child_gens))
         nxt.sort(key=lambda t: t[0])
-        level = [g for _, g in nxt]
-        yield from level
+        level = nxt
+        for form, g, _ in level:
+            yield form, g
+
+
+def _enumerate(
+    n: int,
+    klass: str,
+    forbidden: ForbiddenSpec | None,
+    connected_only: bool,
+    cap: int,
+    stats: dict[str, int],
+) -> Iterator[tuple[bytes, Graph]]:
+    if n > cap:
+        raise CapExceededError(
+            f"exhaustive enumeration at n={n} exceeds the cap {cap}; raise the"
+            " cap explicitly if you accept the cost, or use local search"
+        )
+    for form, g in _enumerate_levels(n, klass, forbidden, stats):
+        if connected_only and not g.is_connected():
+            stats["disconnected"] += 1
+            continue
+        stats["emitted"] += 1
+        yield form, g
 
 
 def enumerate_class(
@@ -253,18 +375,9 @@ def enumerate_class(
 ) -> Iterator[Graph]:
     """One representative per isomorphism class of qualifying n-vertex
     graphs, in deterministic order (by edge count, then canonical form)."""
-    if n > cap:
-        raise CapExceededError(
-            f"exhaustive enumeration at n={n} exceeds the cap {cap}; raise the"
-            " cap explicitly if you accept the cost, or use local search"
-        )
     if stats is None:
         stats = _fresh_stats()
-    for g in _enumerate_levels(n, klass, forbidden, stats):
-        if connected_only and not g.is_connected():
-            stats["disconnected"] += 1
-            continue
-        stats["emitted"] += 1
+    for _, g in _enumerate(n, klass, forbidden, connected_only, cap, stats):
         yield g
 
 
@@ -283,25 +396,55 @@ def _fresh_stats() -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # exhaustive search
 
+# _best_entry scores with spectral_radius only the graphs whose batched
+# eigvalsh value mu is within RESCORE_MARGIN of the largest, mu_top, so
+# best_rho and the certificates are those of scoring every graph. For a
+# graph with true spectral radius lam and spectral_radius value r:
+#   |mu - lam| <= eps: eigh is backward stable, and eps is a small multiple
+#     of n * 2^-53 * ||A||_2 with ||A||_2 <= n - 1, below 1e-13 for n <= 16;
+#   |r - lam| <= tol = DEFAULT_TOL: the residual certificate.
+# The graph with mu_top is scored, so best_rho >= lam_top - tol
+# >= mu_top - eps - tol. A graph with mu < mu_top - margin then has
+#   r <= mu + eps + tol < mu_top - margin + eps + tol
+#     <= best_rho + 2 * eps + 2 * tol - margin,
+# so best_rho - r > TIE_WINDOW (it is neither the maximum nor a tie)
+# whenever margin >= TIE_WINDOW + 2 * DEFAULT_TOL + 2 * eps, about
+# 1.2e-9. The margin 1e-6 leaves a factor of 800 for rounding in r.
+RESCORE_MARGIN = 1e-6
+_EIG_BATCH = 4096  # adjacency matrices per eigvalsh call, to bound memory
+
 
 def _score(g: Graph) -> float:
     return spectral_radius(g).rho
 
 
-def _best_entry(n: int, graphs: list[Graph], stats: dict[str, int]) -> dict:
+def _top_eigenvalues(n: int, graphs: list[Graph]) -> np.ndarray:
+    """Largest adjacency eigenvalue of each n-vertex graph, in float64."""
+    shifts = np.arange(n, dtype=np.int64)
+    out = []
+    for k in range(0, len(graphs), _EIG_BATCH):
+        rows = np.array([g.rows() for g in graphs[k : k + _EIG_BATCH]], dtype=np.int64)
+        adj = (rows[:, :, None] >> shifts & 1).astype(np.float64)
+        out.append(np.linalg.eigvalsh(adj)[:, -1])
+    return np.concatenate(out) if out else np.zeros(0)
+
+
+def _best_entry(
+    n: int, found: list[tuple[bytes, Graph]], stats: dict[str, int]
+) -> dict:
     t0 = time.monotonic()
-    rhos = [_score(g) for g in graphs]
-    best = max(rhos, default=0.0)
+    mu = _top_eigenvalues(n, [g for _, g in found])
+    cut = mu.max(initial=0.0) - RESCORE_MARGIN
+    pool = [(form, _score(g)) for (form, g), m in zip(found, mu) if m >= cut]
+    best = max((r for _, r in pool), default=0.0)
     certs = sorted(
-        canonical_form(g).decode("ascii")
-        for g, r in zip(graphs, rhos)
-        if best - r <= TIE_WINDOW
+        form.decode("ascii") for form, r in pool if best - r <= TIE_WINDOW
     )
     return {
         "n": n,
         "best_rho": best,
         "certificates": certs,
-        "candidates": len(graphs),
+        "candidates": len(found),
         "pruned": dict(sorted(stats.items())),
         "seconds": round(time.monotonic() - t0, 3),
     }
@@ -383,17 +526,17 @@ def exhaustive_spex(config: SearchConfig) -> SearchReport:
         if n in done:
             continue
         stats = _fresh_stats()
-        graphs = list(
-            enumerate_class(
+        found = list(
+            _enumerate(
                 n,
                 config.klass,
                 config.forbidden,
                 config.connected_only,
-                cap=config.exhaustive_cap,
-                stats=stats,
+                config.exhaustive_cap,
+                stats,
             )
         )
-        entries.append(_best_entry(n, graphs, stats))
+        entries.append(_best_entry(n, found, stats))
         entries.sort(key=lambda e: e["n"])
         if config.checkpoint:
             save_checkpoint(config.checkpoint, config, entries)
@@ -442,10 +585,10 @@ def _climb(g: Graph, config: SearchConfig, log: list[str]) -> tuple[Graph, float
                 continue
             r = _score(h)
             evaluated += 1
+            if r <= rho + 1e-12:
+                continue
             key = (r, canonical_form(h))
-            if r > rho + 1e-12 and (
-                best_move is None or key > (best_move[0], best_move[1])
-            ):
+            if best_move is None or key > (best_move[0], best_move[1]):
                 best_move = (r, key[1], name, h)
         if best_move is None:
             log.append(f"evaluated {evaluated}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import struct
@@ -11,14 +12,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_rho, graphs, random_graph, to_nx
+from helpers import atlas_classes, dense_rho, graphs, random_graph, to_nx
 from spexlab.forbidden import ForbiddenSpec
-from spexlab.graph import complete, complete_bipartite, cycle, join, path, star
+from spexlab.graph import (
+    complete,
+    complete_bipartite,
+    cycle,
+    from_edges,
+    join,
+    path,
+    star,
+)
 from spexlab.graph6 import graph6_decode
 from spexlab.search import (
     CHECKPOINT_MAGIC,
+    TIE_WINDOW,
     CapExceededError,
     SearchConfig,
+    _best_entry,
+    _canon,
+    _orbit_minima,
     canonical_form,
     canonical_graph,
     enumerate_class,
@@ -27,6 +40,7 @@ from spexlab.search import (
     local_search_spex,
     save_checkpoint,
 )
+from spexlab.spectral import spectral_radius
 
 # [DERIVED] isomorphism-class counts from a naive generator: all labeled
 # graphs, WL-hash + exact-isomorphism dedup, networkx planarity filters.
@@ -281,3 +295,166 @@ def test_search_config_validation():
         SearchConfig(n_min=1, n_max=4, klass="weird")
     with pytest.raises(ValueError):
         SearchConfig(n_min=1, n_max=4, mode="anneal")
+
+
+# ---------------------------------------------------------------------------
+# byte identity, orbit pruning and filtered scoring
+
+# [DERIVED] SHA-256 digests computed with the search that added every
+# non-edge, canonicalized every leaf through graph6 and scored every graph
+# with spectral_radius; orbit pruning and the eigvalsh filter keep them.
+ATLAS_CANONICAL_SHA256 = (
+    "758e72da1fa9017717c31e233a92442e1dd90e1ef2deb45884c6865af4cb6c8f"
+)
+PINNED_REPORTS = [
+    (
+        SearchConfig(4, 7),
+        "0451a4c5c1094dd2980c58916d56502049b3e4077b4ed52a63e879a6ffbb4cd9",
+    ),
+    (
+        SearchConfig(4, 7, "planar", ForbiddenSpec.cycle(3)),
+        "aa7bdc9e454b9dcf35eff2bb537babae75cbde458e9655f41021e15643576a3e",
+    ),
+    (
+        SearchConfig(3, 7, forbidden=ForbiddenSpec.matching(3), connected_only=False),
+        "b9473b6ff53d95f03ced88a4a146d27574e7dcc1b2da87ae4b9aecec01a6f258",
+    ),
+]
+LOCAL_REPORT_SHA256 = (
+    "6252912d58882476be363eca46b48aa4e95d0ab5c824e44ccc679e2140bebc48"
+)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _atlas_graphs():
+    return [from_edges(G.number_of_nodes(), G.edges()) for G in nx.graph_atlas_g()]
+
+
+def test_canonical_form_bytes_pinned_on_atlas():
+    data = b"".join(canonical_form(g) + b"\n" for g in _atlas_graphs())
+    assert _sha256(data) == ATLAS_CANONICAL_SHA256
+
+
+@pytest.mark.parametrize(
+    "config, digest", PINNED_REPORTS, ids=["outerplanar", "planar-C3", "M3-all"]
+)
+def test_search_reports_pinned(config, digest):
+    assert _sha256(exhaustive_spex(config).canonical_json().encode()) == digest
+
+
+def test_local_search_report_pinned():
+    cfg = SearchConfig(n_min=6, n_max=6, mode="local", seed=3)
+    report = local_search_spex(cfg, path(6), restarts=4)
+    assert _sha256(report.canonical_json().encode()) == LOCAL_REPORT_SHA256
+
+
+def test_canon_generators_are_automorphisms():
+    for g in _atlas_graphs():
+        form, gens = _canon(g)
+        assert form == canonical_form(g)
+        for s in gens:
+            assert sorted(s) == list(range(g.n))
+            assert g.relabel(list(s)) == g
+
+
+def _pair_orbit(pair, perms) -> set[tuple[int, int]]:
+    """Closure of an unordered pair under the group generated by perms."""
+    orbit, todo = {pair}, [pair]
+    while todo:
+        u, v = todo.pop()
+        for s in perms:
+            image = tuple(sorted((s[u], s[v])))
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
+def test_non_edge_orbits_refine_automorphism_orbits():
+    """Each orbit from the recorded generators lies inside an orbit of the
+    full automorphism group (networkx GraphMatcher), and the non-edges kept
+    are exactly the smallest of each generator orbit, so every full orbit
+    keeps at least one."""
+    for g in _atlas_graphs():
+        G = to_nx(g)
+        autos = [
+            tuple(m[v] for v in range(g.n))
+            for m in nx.algorithms.isomorphism.GraphMatcher(G, G).isomorphisms_iter()
+        ]
+        _, gens = _canon(g)
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+        non_edges = [e for e in pairs if not g.has_edge(*e)]
+        minima = set()
+        for e in non_edges:
+            ours = _pair_orbit(e, gens)
+            full = {tuple(sorted((s[e[0]], s[e[1]]))) for s in autos}
+            assert ours <= full, (g.rows(), e)
+            minima.add(min(ours))
+        assert _orbit_minima(g, gens) == sorted(minima), g.rows()
+
+
+def _tie_pools(classes, rhos):
+    """Prefixes of the graphs sorted by rho that end on a tie at the top."""
+    order = sorted(range(len(classes)), key=lambda i: rhos[i])
+    r = [rhos[i] for i in order]
+    for j in range(1, len(r)):
+        ends_run = j + 1 == len(r) or r[j + 1] - r[j] > TIE_WINDOW
+        if r[j] - r[j - 1] <= TIE_WINDOW and ends_run:
+            yield [order[i] for i in range(j + 1)]
+
+
+def test_filtered_scoring_matches_scoring_every_graph():
+    """_best_entry scores only the eigvalsh front-runners; its best_rho and
+    certificates must equal those of spectral_radius on every graph."""
+    tie_cases = 0
+    for n in range(1, 8):
+        classes = atlas_classes(n)
+        forms = [canonical_form(g) for g in classes]
+        rhos = [spectral_radius(g).rho for g in classes]
+        everything = list(range(len(classes)))
+        pools = [
+            everything,
+            [i for i in everything if classes[i].is_connected()],
+            [i for i in everything if not classes[i].is_connected()],
+            *_tie_pools(classes, rhos),
+        ]
+        for pool in pools:
+            entry = _best_entry(n, [(forms[i], classes[i]) for i in pool], {})
+            best = max((rhos[i] for i in pool), default=0.0)
+            certs = sorted(
+                forms[i].decode("ascii") for i in pool if best - rhos[i] <= TIE_WINDOW
+            )
+            assert entry["best_rho"] == best
+            assert entry["certificates"] == certs
+            assert entry["candidates"] == len(pool)
+            tie_cases += len(certs) > 1
+    assert tie_cases > 100
+
+
+def _nx_planar(G) -> bool:
+    return nx.check_planarity(G)[0]
+
+
+def _nx_apex_outerplanar(G) -> bool:
+    H = G.copy()
+    H.add_edges_from(("apex", v) for v in G)
+    return _nx_planar(H)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_enumeration_counts_match_atlas(n):
+    """Class counts against the graph atlas filtered by networkx alone:
+    planarity by its left-right test, outerplanarity as planarity of the
+    graph plus an apex vertex."""
+    atlas = [G for G in nx.graph_atlas_g() if G.number_of_nodes() == n]
+    members = {"outerplanar": _nx_apex_outerplanar, "planar": _nx_planar}
+    for klass, member in members.items():
+        for connected in (True, False):
+            want = sum(
+                1 for G in atlas if member(G) and (nx.is_connected(G) or not connected)
+            )
+            got = sum(1 for _ in enumerate_class(n, klass, connected_only=connected))
+            assert got == want, (klass, connected)
