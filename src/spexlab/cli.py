@@ -89,7 +89,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--mode", choices=("exhaustive", "local"), default="exhaustive")
     sp.add_argument("--disconnected", action="store_true", help="drop the connected-only restriction")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     sp.add_argument("--checkpoint", default=None)
     sp.add_argument("--cap", type=int, default=10, help="refuse exhaustive search above this n")
     sp.add_argument("--start-g6", default=None, help="start graph for local mode")
@@ -99,9 +98,7 @@ def _build_parser() -> _Parser:
 
     sp = _sub("verify", description="Run a verification suite (or 'all').")
     sp.add_argument("--suite", default=None)
-    sp.add_argument("--nmax", type=int, default=None, help="suite size knob where supported")
-    sp.add_argument("--param", action="append", default=[], help="extra suite parameter key=value")
-    sp.add_argument("--threads", type=int, default=None, help="accepted and ignored")
+    sp.add_argument("--param", action="append", default=[], help="suite keyword argument key=value")
     common(sp)
     sp.set_defaults(handler=_cmd_verify)
 
@@ -281,7 +278,6 @@ def _cmd_search(args) -> tuple[int, str]:
         connected_only=not args.disconnected,
         mode=args.mode,
         seed=args.seed,
-        threads=args.threads,
         checkpoint=args.checkpoint,
         exhaustive_cap=args.cap,
     )
@@ -309,15 +305,22 @@ def _cmd_search(args) -> tuple[int, str]:
 def _cmd_verify(args) -> tuple[int, str]:
     _require(args, "suite")
     params: dict = {}
-    if args.nmax is not None:
-        params["nmax"] = args.nmax
     for item in args.param:
         if "=" not in item:
             raise UsageError(f"bad --param {item!r}; expected key=value")
         key, _, val = item.partition("=")
         params[key.strip()] = _coerce(val.strip())
-    suites = sorted(experiments.SUITES) if args.suite == "all" else [args.suite]
-    results = [experiments.run_suite(s, params or None, args.threads) for s in suites]
+    runs = [(args.suite, params)]
+    if args.suite == "all":  # each suite gets the keys it takes
+        suites = experiments.SUITES
+        unknown = set(params).difference(*(s.keys for s in suites.values()))
+        if unknown:
+            raise UsageError(f"no suite takes --param {', '.join(sorted(unknown))}")
+        runs = [
+            (name, {k: v for k, v in params.items() if k in suites[name].keys})
+            for name in sorted(suites)
+        ]
+    results = [experiments.run_suite(name, p) for name, p in runs]
     for r in results:
         print(r.summary(), file=sys.stderr)
         for d in r.failures + r.indeterminates:

@@ -4,14 +4,22 @@ Each suite id names one numeric or exhaustive check. A case lands in
 ``failures`` only when a stated inequality or detector verdict is wrong at
 working precision; strict spectral comparisons whose gap is below the sum
 of the two residuals land in ``indeterminates`` instead.
+
+A suite is a generator function whose keyword arguments, with their
+defaults, are its parameters. It yields ``(name, fn)`` cases and may return
+the suite's ``details`` dict, which its cases can still fill as they run.
 """
 
 from __future__ import annotations
 
-import json
+import inspect
 import math
+from bisect import insort
+from collections import deque
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from itertools import count, islice, product
 
 from .constructions import (
     FamilySpec,
@@ -96,10 +104,8 @@ def _run_cases(suite: str, cases: list[Case], details: dict | None = None) -> Su
 # individual suites
 
 
-def _suite_claim_1_1(params: dict) -> SuiteResult:
-    ns = params.get("n_values", (10, 25, 50, 100, 400, 1000, 2500, 10000))
-    cases: list[Case] = []
-    for n in ns:
+def _claim_1_1(n_values=(10, 25, 50, 100, 400, 1000, 2500, 10000)) -> Iterator[Case]:
+    for n in n_values:
         ts = sorted({1, 2, max(1, n // 100), (n - 1) // 2})
         for t in ts:
             if not 1 <= t <= (n - 1) / 2:
@@ -110,16 +116,12 @@ def _suite_claim_1_1(params: dict) -> SuiteResult:
                 info = {"n": n, "t": t, "bound": rep.lhs, "rho": rep.rhs}
                 return ("pass" if rep.passed else "fail"), info
 
-            cases.append((f"n={n},t={t}", fn))
-    return _run_cases("claim-1.1", cases)
+            yield f"n={n},t={t}", fn
 
 
-def _suite_lemma_lm2(params: dict) -> SuiteResult:
-    nmax = int(params.get("nmax", 7))
-    family_ns = params.get("family_ns", (100, 1000, 10000))
-    cases: list[Case] = []
+def _lemma_lm2(nmax=7, family_ns=(100, 1000, 10000)) -> Iterator[Case]:
     exhaustive_count = 0
-    for n in range(3, nmax + 1):
+    for n in range(3, int(nmax) + 1):
         for g in enumerate_class(n, "outerplanar", None, connected_only=True):
             exhaustive_count += 1
 
@@ -128,53 +130,46 @@ def _suite_lemma_lm2(params: dict) -> SuiteResult:
                 info = {"n": g.n, "rho": rep.lhs, "bound": rep.rhs}
                 return ("pass" if rep.passed else "fail"), info
 
-            cases.append((f"enum-n{n}-{exhaustive_count}", fn))
-    specs = []
+            yield f"enum-n{n}-{exhaustive_count}", fn
     for n in family_ns:
-        specs += [
+        for spec in (
             FamilySpec("star", n),
             FamilySpec("jn", n),
             FamilySpec("claimw", n, t=max(1, n // 4)),
             FamilySpec("k1hop", n, t=2, l=5),
             FamilySpec("k1hop", n, t=3, l=4),
-        ]
-    for spec in specs:
+        ):
 
-        def fn(spec=spec):
-            rep = check_shu_bound(construct(spec))
-            info = {"family": str(spec), "rho": rep.lhs, "bound": rep.rhs}
-            return ("pass" if rep.passed else "fail"), info
+            def fn(spec=spec):
+                rep = check_shu_bound(construct(spec))
+                info = {"family": str(spec), "rho": rep.lhs, "bound": rep.rhs}
+                return ("pass" if rep.passed else "fail"), info
 
-        cases.append((str(spec), fn))
-    return _run_cases("lemma-lm2", cases, {"exhaustive_graphs": exhaustive_count})
+            yield str(spec), fn
+    return {"exhaustive_graphs": exhaustive_count}
 
 
-def _monotonicity_cases(hubs: int, params: dict) -> list[Case]:
+def _monotonicity_cases(hubs: int, s2_max=6, cases=50, margin=1.15) -> Iterator[Case]:
     """Partition pairs (h, transform of h) at n above the step threshold."""
-    s2_max = int(params.get("s2_max", 6))
-    count = int(params.get("cases", 50))
-    margin = float(params.get("margin", 1.15))
-    cases: list[Case] = []
-    idx = 0
-    while len(cases) < count:
-        s2 = 1 + idx % s2_max
+    made = 0
+    for idx in count():
+        if made >= int(cases):
+            return
+        s2 = 1 + idx % int(s2_max)
         s1 = s2 + (idx * 3) % 5
         if hubs == 1:
             threshold = LM1_FACTOR * 2 ** (s2 + 2)
         else:
             threshold = LM5_FACTOR * 2**s2 + 2
-        n = int(math.ceil(threshold * margin)) + 7 * (idx % 3)
-        total = n - hubs
-        filler = total - s1 - s2
+        n = int(math.ceil(threshold * float(margin))) + 7 * (idx % 3)
+        filler = n - hubs - s1 - s2
         if filler < 0:
-            idx += 1
             continue
         h = PathPartition([s1, s2] + [1] * filler)
         i = h.parts.index(s1)
         j = h.parts.index(s2) if s2 != s1 else i + 1
-        idx += 1
 
-        def fn(h=h, i=i, j=j, hubs=hubs, s1=s1, s2=s2, n=n):
+        def fn(h=h, i=i, j=j, s1=s1, s2=s2, n=n):
             hi = joined_paths_radius(hubs, transform(h, i, j), STRICT_TOL)
             lo = joined_paths_radius(hubs, h, STRICT_TOL)
             verdict = strict_compare(hi, lo)
@@ -191,22 +186,13 @@ def _monotonicity_cases(hubs: int, params: dict) -> list[Case]:
                 return "indeterminate", info
             return "fail", info
 
-        cases.append((f"s1={s1},s2={s2},n={n}", fn))
-    return cases
+        made += 1
+        yield f"s1={s1},s2={s2},n={n}", fn
 
 
-def _suite_lemma_lm1(params: dict) -> SuiteResult:
-    return _run_cases("lemma-lm1", _monotonicity_cases(1, params))
-
-
-def _suite_lemma_lm5(params: dict) -> SuiteResult:
-    return _run_cases("lemma-lm5", _monotonicity_cases(2, params))
-
-
-def _box_cases(hubs: int, grid) -> list[Case]:
+def _box_cases(hubs: int, grid) -> Iterator[Case]:
     """Eigenvector-box checks on K1 v H_OP(n1, n2) or K2 v H_P(n1, n2)."""
     label = "K1vHOP" if hubs == 1 else "K2vHP"
-    cases: list[Case] = []
     for n1, n2, n in grid:
 
         def fn(n1=n1, n2=n2, n=n):
@@ -220,24 +206,13 @@ def _box_cases(hubs: int, grid) -> list[Case]:
             }
             return ("pass" if rep.passed else "fail"), info
 
-        cases.append((f"{label}({n1},{n2})@n={n}", fn))
-    return cases
+        yield f"{label}({n1},{n2})@n={n}", fn
 
 
-def _suite_claim_3_1(params: dict) -> SuiteResult:
-    grid = params.get("grid", ((5, 3, 5000), (9, 2, 5000), (5, 3, 12000), (9, 2, 12000)))
-    return _run_cases("claim-3.1", _box_cases(1, grid))
-
-
-def _suite_lemma_lm4(params: dict) -> SuiteResult:
-    grid = params.get("grid", ((7, 3, 5000),))
-    return _run_cases("lemma-lm4", _box_cases(2, grid))
-
-
-def _suite_claim_3_2(params: dict) -> SuiteResult:
-    grid = params.get("grid", ((5, 3, 300), (7, 4, 600), (6, 5, 1400), (9, 6, 3400)))
-    eps = float(params.get("eps", 1e-8))
-    cases: list[Case] = []
+def _claim_3_2(
+    grid=((5, 3, 300), (7, 4, 600), (6, 5, 1400), (9, 6, 3400)), eps=1e-8
+) -> Iterator[Case]:
+    eps = float(eps)
     for s1, s2, n in grid:
 
         def fn(s1=s1, s2=s2, n=n):
@@ -264,129 +239,83 @@ def _suite_claim_3_2(params: dict) -> SuiteResult:
             info = {"s1": s1, "s2": s2, "n": n, "worst_overflow": worst}
             return ("pass" if worst <= eps else "fail"), info
 
-        cases.append((f"s1={s1},s2={s2},n={n}", fn))
-    return _run_cases("claim-3.2", cases)
+        yield f"s1={s1},s2={s2},n={n}", fn
 
 
-def _suite_claim_3_3(params: dict) -> SuiteResult:
-    ls = params.get("ls", (5, 6, 7, 8))
-    total_cap = int(params.get("total_cap", 20))
-    cases: list[Case] = []
+def _freeness_case(
+    name: str, hubs: int, h: PathPartition, spec: ForbiddenSpec, expected_free: bool, info: dict
+) -> Case:
+    """Is the join of ``hubs`` hubs to the paths of h spec-free exactly when
+    expected? The case's info is ``info`` plus the expected verdict."""
+
+    def fn():
+        got_free = is_free(joined_paths(hubs, h), spec)
+        info_out = {**info, "expected_free": expected_free}
+        return ("pass" if got_free == expected_free else "fail"), info_out
+
+    return name, fn
+
+
+def _claim_3_3(ls=(5, 6, 7, 8), total_cap=20) -> Iterator[Case]:
     for l in ls:
+        spec = ForbiddenSpec.cycle(l)
         for n1 in (l - 3, l - 2, l - 1, l):
             for extra in ((), (1,), (min(n1, l - 2), 1)):
                 parts = [n1, *extra]
-                if sum(parts) + 1 > total_cap + 1:
+                if sum(parts) > int(total_cap):
                     continue
                 h = PathPartition(parts)
-
-                def fn(h=h, l=l):
-                    g = joined_paths(1, h)
-                    expected_free = h.part(1) <= l - 2
-                    got_free = is_free(g, ForbiddenSpec.cycle(l))
-                    info = {"l": l, "parts": list(h.parts), "expected_free": expected_free}
-                    return ("pass" if got_free == expected_free else "fail"), info
-
-                cases.append((f"l={l},h={h}", fn))
-    return _run_cases("claim-3.3", cases)
+                info = {"l": l, "parts": list(h.parts)}
+                yield _freeness_case(f"l={l},h={h}", 1, h, spec, h.part(1) <= l - 2, info)
 
 
-def _suite_claim_3_5(params: dict) -> SuiteResult:
-    ts = params.get("ts", (2, 3))
-    ls = params.get("ls", (3, 4, 5))
-    cases: list[Case] = []
-    for t in ts:
-        for l in ls:
-            flip = t * (l - 1)  # smallest n1 with a bouquet in K1 v P_n1
-            for n1 in (flip - 2, flip - 1, flip, flip + 1):
-                if n1 < 1:
+def _claim_3_5(ts=(2, 3), ls=(3, 4, 5)) -> Iterator[Case]:
+    for t, l in product(ts, ls):
+        spec = ForbiddenSpec.bouquet(t, l)
+        flip = t * (l - 1)  # smallest n1 with a bouquet in K1 v P_n1
+        for n1 in (flip - 2, flip - 1, flip, flip + 1):
+            if n1 < 1:
+                continue
+            info = {"t": t, "l": l, "n1": n1}
+            h = PathPartition([n1])
+            yield _freeness_case(f"t={t},l={l},n1={n1}", 1, h, spec, n1 < flip, info)
+
+
+def _claim_4_2(ts=(2, 3), ls=(3, 4, 5)) -> Iterator[Case]:
+    for t, l in product(ts, ls):
+        spec = ForbiddenSpec.bouquet(t, l)
+        flip = t * l - t - 1  # smallest n1+n2 with a bouquet
+        for s in (flip - 2, flip - 1, flip, flip + 1):
+            splits = {(s - k, k) for k in (1, min(l - 1, s - 1), s // 2)}
+            for n1, n2 in sorted(splits, reverse=True):
+                if n2 < 1 or n1 < n2:
                     continue
-
-                def fn(t=t, l=l, n1=n1, flip=flip):
-                    g = joined_paths(1, PathPartition([n1]))
-                    expected_free = n1 < flip
-                    got_free = is_free(g, ForbiddenSpec.bouquet(t, l))
-                    info = {"t": t, "l": l, "n1": n1, "expected_free": expected_free}
-                    return ("pass" if got_free == expected_free else "fail"), info
-
-                cases.append((f"t={t},l={l},n1={n1}", fn))
-    return _run_cases("claim-3.5", cases)
+                info = {"t": t, "l": l, "n1": n1, "n2": n2}
+                free = n1 + n2 < flip
+                h = PathPartition([n1, n2])
+                yield _freeness_case(f"t={t},l={l},n1={n1},n2={n2}", 2, h, spec, free, info)
 
 
-def _suite_claim_4_2(params: dict) -> SuiteResult:
-    ts = params.get("ts", (2, 3))
-    ls = params.get("ls", (3, 4, 5))
-    cases: list[Case] = []
-    for t in ts:
-        for l in ls:
-            flip = t * l - t - 1  # smallest n1+n2 with a bouquet
-            for s in (flip - 2, flip - 1, flip, flip + 1):
-                splits = {(s - k, k) for k in (1, min(l - 1, s - 1), s // 2)}
-                for n1, n2 in sorted(splits, reverse=True):
-                    if n2 < 1 or n1 < n2:
-                        continue
-
-                    def fn(t=t, l=l, n1=n1, n2=n2, flip=flip):
-                        g = joined_paths(2, PathPartition([n1, n2]))
-                        expected_free = n1 + n2 < flip
-                        got_free = is_free(g, ForbiddenSpec.bouquet(t, l))
-                        info = {
-                            "t": t,
-                            "l": l,
-                            "n1": n1,
-                            "n2": n2,
-                            "expected_free": expected_free,
-                        }
-                        return ("pass" if got_free == expected_free else "fail"), info
-
-                    cases.append((f"t={t},l={l},n1={n1},n2={n2}", fn))
-    return _run_cases("claim-4.2", cases)
-
-
-def _suite_claim_4_3(params: dict) -> SuiteResult:
+def _claim_4_3(ts=(2, 3), ls=(3, 4, 5)) -> Iterator[Case]:
     """Freeness of K2 v H with a long first path, against the corrected
     conjunction: free iff nbar1+n2 <= l-3 and n2+n3 <= l-3. The disjunction
     as once stated diverges on part of the grid; divergences are counted in
     details, not failed."""
-    ts = params.get("ts", (2, 3))
-    ls = params.get("ls", (3, 4, 5))
-    cases: list[Case] = []
     or_divergences = 0
-    grid = []
-    for t in ts:
-        for l in ls:
-            base = (t - 1) * (l - 1)
-            for nbar in range(0, l - 1):
-                for n2 in range(0, l - 1):
-                    for n3 in range(0, n2 + 1):
-                        if n3 and not n2:
-                            continue
-                        grid.append((t, l, base + nbar, n2, n3))
-    seen = set()
-    for t, l, n1, n2, n3 in grid:
-        if (t, l, n1, n2, n3) in seen:
-            continue
-        seen.add((t, l, n1, n2, n3))
-        nbar = n1 - (t - 1) * (l - 1)
-        and_free = (nbar + n2 <= l - 3) and (n2 + n3 <= l - 3)
-        or_free = (nbar + n2 <= l - 3) or (n2 + n3 <= l - 3)
-        if and_free != or_free:
-            or_divergences += 1
-
-        def fn(t=t, l=l, n1=n1, n2=n2, n3=n3, and_free=and_free):
-            parts = [p for p in (n1, n2, n3) if p > 0]
-            g = joined_paths(2, PathPartition(parts))
-            got_free = is_free(g, ForbiddenSpec.bouquet(t, l))
-            info = {
-                "t": t,
-                "l": l,
-                "parts": parts,
-                "expected_free": and_free,
-            }
-            return ("pass" if got_free == and_free else "fail"), info
-
-        cases.append((f"t={t},l={l},h=[{n1},{n2},{n3}]", fn))
-    return _run_cases("claim-4.3", cases, {"or_form_divergences": or_divergences})
+    for t, l in dict.fromkeys(product(ts, ls)):  # each (t, l) once
+        spec = ForbiddenSpec.bouquet(t, l)
+        for nbar, n2 in product(range(l - 1), repeat=2):
+            for n3 in range(n2 + 1):
+                n1 = (t - 1) * (l - 1) + nbar
+                and_free = (nbar + n2 <= l - 3) and (n2 + n3 <= l - 3)
+                or_free = (nbar + n2 <= l - 3) or (n2 + n3 <= l - 3)
+                if and_free != or_free:
+                    or_divergences += 1
+                parts = [p for p in (n1, n2, n3) if p > 0]
+                info = {"t": t, "l": l, "parts": parts}
+                h = PathPartition(parts)
+                yield _freeness_case(f"t={t},l={l},h=[{n1},{n2},{n3}]", 2, h, spec, and_free, info)
+    return {"or_form_divergences": or_divergences}
 
 
 def _hub_paths_shape(g: Graph) -> bool:
@@ -400,18 +329,16 @@ def _hub_paths_shape(g: Graph) -> bool:
     return False
 
 
-def _suite_thm_1_structure(params: dict) -> SuiteResult:
-    n_max = int(params.get("nmax", 7))
+def _thm_1_structure(nmax=7) -> Iterator[Case]:
     specs = [
         ForbiddenSpec.matching(2),
         ForbiddenSpec.matching(3),
         ForbiddenSpec.cycle(3),
         ForbiddenSpec.bouquet(2, 3),
     ]
-    cases: list[Case] = []
     agreement: dict[str, bool] = {}
     for spec in specs:
-        top = n_max if spec.kind != "bouquet" else min(n_max, 7)
+        top = int(nmax) if spec.kind != "bouquet" else min(int(nmax), 7)
         for n in range(5, top + 1):
 
             def fn(spec=spec, n=n):
@@ -429,258 +356,238 @@ def _suite_thm_1_structure(params: dict) -> SuiteResult:
                 }
                 return "pass", info  # report-style: agreement is data, not a gate
 
-            cases.append((f"{spec}@n={n}", fn))
-    result = _run_cases("thm-1-structure", cases)
-    result.details["agreement"] = dict(sorted(agreement.items()))
-    return result
+            yield f"{spec}@n={n}", fn
+    return {"agreement": agreement}
 
 
-def _family_grid(theorem: str, params: dict) -> list[FamilySpec]:
-    n_count = int(params.get("n_count", 30))
-    ts = params.get("ts", (1, 2, 3, 4))
-    ls = params.get("ls", (3, 4, 5, 6, 7))
-    specs = []
-    for t in ts:
-        for l in ls:
-            if theorem == "thm-3" and l != 3:
-                continue
-            if theorem == "thm-4" and t < 2:
-                continue
-            kind = "k2hp" if theorem == "thm-4" else "k1hop"
-            hubs = 2 if kind == "k2hp" else 1
-            n1 = {
-                "k1hop": (l - 2) if t == 1 else (t * l - t - 1),
-                "k2hp": t * l - t - l,
-            }[kind]
-            n_lo = n1 + hubs
-            for n in range(n_lo, n_lo + n_count):
-                specs.append(FamilySpec(kind, n, t=t, l=l))
-    return specs
+def _soundness_case(spec: FamilySpec, forb: ForbiddenSpec) -> Case:
+    def fn():
+        g = construct(spec)
+        in_class = (is_outerplanar(g) if spec.kind == "k1hop" else is_planar(g)).planar
+        free = is_free(g, forb)
+        info = {"family": str(spec), "in_class": in_class, "free": free}
+        return ("pass" if in_class and free else "fail"), info
+
+    return str(spec), fn
 
 
-def _soundness_cases(theorem: str, specs: list[FamilySpec]) -> list[Case]:
-    cases: list[Case] = []
-    for spec in specs:
-
-        def fn(spec=spec):
-            g = construct(spec)
-            if theorem == "thm-3":
-                forb = ForbiddenSpec.matching(spec.t + 1)
-            else:
-                forb = ForbiddenSpec.bouquet(spec.t, spec.l)
-            in_class = (
-                is_outerplanar(g) if spec.kind == "k1hop" else is_planar(g)
-            ).planar
-            free = is_free(g, forb)
-            info = {"family": str(spec), "in_class": in_class, "free": free}
-            return ("pass" if in_class and free else "fail"), info
-
-        cases.append((str(spec), fn))
-    return cases
+def _siblings(h_star: PathPartition, s2_cap: int) -> Iterator[PathPartition]:
+    """Transformation predecessors of h_star, breadth first, each once."""
+    seen = {h_star.parts}
+    queue = deque([h_star])
+    while queue:
+        for p in transform_predecessors(queue.popleft(), s2_cap):
+            if p.parts not in seen:
+                seen.add(p.parts)
+                queue.append(p)
+                yield p
 
 
-def _dominance_cases(theorem: str, params: dict) -> list[Case]:
-    n_dom = int(params.get("n_dom", 2000))
-    sibling_count = int(params.get("siblings", 20))
-    s2_cap = int(params.get("s2_cap", 6))
-    ts = params.get("dom_ts", (2, 3))
-    ls = params.get("dom_ls", (4, 5) if theorem != "thm-3" else (3,))
-    kind = "k2hp" if theorem == "thm-4" else "k1hop"
-    hubs = 2 if kind == "k2hp" else 1
-    cases: list[Case] = []
-    for t in ts:
-        for l in ls:
-            spec = FamilySpec(kind, n_dom, t=t, l=l)
-            h_star = family_partition(spec)
-            siblings: list[PathPartition] = []
-            frontier = [h_star]
-            seen = {h_star.parts}
-            while frontier and len(siblings) < sibling_count:
-                nxt = []
-                for h in frontier:
-                    for p in transform_predecessors(h, s2_cap):
-                        if p.parts in seen:
-                            continue
-                        seen.add(p.parts)
-                        siblings.append(p)
-                        nxt.append(p)
-                        if len(siblings) >= sibling_count:
-                            break
-                    if len(siblings) >= sibling_count:
-                        break
-                frontier = nxt
+def _dominance_case(spec: FamilySpec, siblings: int, s2_cap: int) -> Case:
+    """Does the family's partition beat its first ``siblings`` siblings?"""
+    hubs = 2 if spec.kind == "k2hp" else 1
+    h_star = family_partition(spec)
+    sibs = tuple(islice(_siblings(h_star, s2_cap), siblings))
 
-            def fn(spec=spec, h_star=h_star, siblings=tuple(siblings), hubs=hubs):
-                star_est = joined_paths_radius(hubs, h_star, STRICT_TOL)
-                weakest = math.inf
-                for h in siblings:
-                    sib_est = joined_paths_radius(hubs, h, STRICT_TOL)
-                    verdict = strict_compare(star_est, sib_est)
-                    gap = star_est.rho - sib_est.rho
-                    weakest = min(weakest, gap)
-                    if verdict != "greater":
-                        info = {
-                            "family": str(spec),
-                            "sibling": str(h),
-                            "gap": gap,
-                            "verdict": verdict,
-                        }
-                        state = "indeterminate" if verdict == "indeterminate" else "fail"
-                        return state, info
+    def fn():
+        star_est = joined_paths_radius(hubs, h_star, STRICT_TOL)
+        weakest = math.inf
+        for h in sibs:
+            sib_est = joined_paths_radius(hubs, h, STRICT_TOL)
+            verdict = strict_compare(star_est, sib_est)
+            gap = star_est.rho - sib_est.rho
+            weakest = min(weakest, gap)
+            if verdict != "greater":
                 info = {
                     "family": str(spec),
-                    "siblings": len(siblings),
-                    "weakest_gap": weakest,
+                    "sibling": str(h),
+                    "gap": gap,
+                    "verdict": verdict,
                 }
-                return "pass", info
+                state = "indeterminate" if verdict == "indeterminate" else "fail"
+                return state, info
+        return "pass", {"family": str(spec), "siblings": len(sibs), "weakest_gap": weakest}
 
-            cases.append((f"dominance:{spec}", fn))
-    return cases
-
-
-def _theorem_suite(theorem: str, params: dict) -> SuiteResult:
-    cases: list[Case] = []
-    if params.get("grid", True):
-        cases += _soundness_cases(theorem, _family_grid(theorem, params))
-    if params.get("dominance", True):
-        cases += _dominance_cases(theorem, params)
-    return _run_cases(theorem, cases)
+    return f"dominance:{spec}", fn
 
 
-def _suite_thm_2(params: dict) -> SuiteResult:
-    return _theorem_suite("thm-2", params)
-
-
-def _suite_thm_3(params: dict) -> SuiteResult:
-    return _theorem_suite("thm-3", params)
-
-
-def _suite_thm_4(params: dict) -> SuiteResult:
-    return _theorem_suite("thm-4", params)
-
-
-def _suite_remark_rk111(params: dict) -> SuiteResult:
-    ns = params.get("n_values", (8, 20, 101))
-    ls = params.get("ls", (5, 6, 7, 9))
-    cases: list[Case] = []
-    for n in ns:
-
-        def fn_k2(n=n):
-            g = construct(FamilySpec("k2n2", n))
-            ok = is_planar(g).planar and is_free(g, ForbiddenSpec.cycle(3))
-            return ("pass" if ok else "fail"), {"family": f"k2n2:n={n}"}
-
-        def fn_jn(n=n):
-            g = construct(FamilySpec("jn", n))
-            ok = is_planar(g).planar and is_free(g, ForbiddenSpec.cycle(4))
-            return ("pass" if ok else "fail"), {"family": f"jn:n={n}"}
-
-        cases.append((f"k2n2:n={n}", fn_k2))
-        cases.append((f"jn:n={n}", fn_jn))
-    for l in ls:
-        for n in ns:
-            if n - 2 < (l - 2) // 2 + 1:
+def _theorem_cases(
+    theorem: str,
+    grid=True,
+    dominance=True,
+    n_count=30,
+    ts=(1, 2, 3, 4),
+    ls=(3, 4, 5, 6, 7),
+    n_dom=2000,
+    siblings=20,
+    s2_cap=6,
+    dom_ts=(2, 3),
+    dom_ls=(4, 5),
+) -> Iterator[Case]:
+    """Family soundness (class membership and freeness) over a (t, l, n)
+    grid, then dominance of the family over its transformation siblings."""
+    kind = "k2hp" if theorem == "thm-4" else "k1hop"
+    if grid:
+        for t, l in product(ts, ls):
+            if (theorem == "thm-3" and l != 3) or (theorem == "thm-4" and t < 2):
                 continue
+            if kind == "k2hp":
+                n_lo = 2 + t * l - t - l
+            else:
+                n_lo = 1 + ((l - 2) if t == 1 else (t * l - t - 1))
+            if theorem == "thm-3":
+                forb = ForbiddenSpec.matching(t + 1)
+            else:
+                forb = ForbiddenSpec.bouquet(t, l)
+            for n in range(n_lo, n_lo + int(n_count)):
+                yield _soundness_case(FamilySpec(kind, n, t=t, l=l), forb)
+    if dominance:
+        for t, l in product(dom_ts, dom_ls):
+            spec = FamilySpec(kind, int(n_dom), t=t, l=l)
+            yield _dominance_case(spec, int(siblings), int(s2_cap))
 
-            def fn_cl(l=l, n=n):
-                # top-two part orders must sum to <= l-3, so the larger
-                # half-part leads and the smaller one fills
-                h = fill_partition(n - 2, (l - 2) // 2, (l - 3) // 2)
-                g = joined_paths(2, h)
-                ok = is_planar(g).planar and is_free(g, ForbiddenSpec.cycle(l))
-                return ("pass" if ok else "fail"), {"family": f"K2vHP@l={l},n={n}"}
 
-            cases.append((f"clfree:l={l},n={n}", fn_cl))
-    return _run_cases("remark-rk111", cases)
+def _remark_rk111(n_values=(8, 20, 101), ls=(5, 6, 7, 9)) -> Iterator[Case]:
+    def case(name: str, family: str, l: int, build: Callable[[], Graph]) -> Case:
+        def fn():
+            g = build()
+            ok = is_planar(g).planar and is_free(g, ForbiddenSpec.cycle(l))
+            return ("pass" if ok else "fail"), {"family": family}
+
+        return name, fn
+
+    for n in n_values:
+        yield case(f"k2n2:n={n}", f"k2n2:n={n}", 3, partial(construct, FamilySpec("k2n2", n)))
+        yield case(f"jn:n={n}", f"jn:n={n}", 4, partial(construct, FamilySpec("jn", n)))
+    for l, n in product(ls, n_values):
+        if n - 2 < (l - 2) // 2 + 1:
+            continue
+        # top-two part orders must sum to <= l-3, so the larger half-part
+        # leads and the smaller one fills
+        h = fill_partition(n - 2, (l - 2) // 2, (l - 3) // 2)
+        yield case(f"clfree:l={l},n={n}", f"K2vHP@l={l},n={n}", l, partial(joined_paths, 2, h))
 
 
-def _suite_bouquet_semantics(params: dict) -> SuiteResult:
+def _bouquet_semantics(ts=(2, 3), ls=(3, 4, 5), span=4) -> Iterator[Case]:
     """The K2-join families are bouquet-free as subgraphs (cycles pairwise
     sharing exactly the common vertex), yet an edge-disjoint packing of t
     l-cycles at a hub can still exist; such divergences are counted."""
-    ts = params.get("ts", (2, 3))
-    ls = params.get("ls", (3, 4, 5))
-    span = int(params.get("span", 4))
-    cases: list[Case] = []
-    divergences: list[str] = []
-    for t in ts:
-        for l in ls:
-            n_lo = t * l - t - l + 2
-            for n in range(n_lo, n_lo + span):
-                spec = FamilySpec("k2hp", n, t=t, l=l)
+    divergences: list[str] = []  # kept sorted as the cases fill it
+    for t, l in product(ts, ls):
+        n_lo = t * l - t - l + 2
+        for n in range(n_lo, n_lo + int(span)):
+            spec = FamilySpec("k2hp", n, t=t, l=l)
 
-                def fn(spec=spec, t=t, l=l):
-                    g = construct(spec)
-                    free = is_free(g, ForbiddenSpec.bouquet(t, l))
-                    edge_disjoint = max(
-                        max_edge_disjoint_l_cycles_at(g, v, l, cap=t)
-                        for v in range(g.n)
-                    )
-                    if free and edge_disjoint >= t:
-                        divergences.append(str(spec))
-                    info = {
-                        "family": str(spec),
-                        "subgraph_free": free,
-                        "edge_disjoint_at_best_hub": edge_disjoint,
-                    }
-                    return ("pass" if free else "fail"), info
+            def fn(spec=spec, t=t, l=l):
+                g = construct(spec)
+                free = is_free(g, ForbiddenSpec.bouquet(t, l))
+                edge_disjoint = max(
+                    max_edge_disjoint_l_cycles_at(g, v, l, cap=t) for v in range(g.n)
+                )
+                if free and edge_disjoint >= t:
+                    insort(divergences, str(spec))
+                info = {
+                    "family": str(spec),
+                    "subgraph_free": free,
+                    "edge_disjoint_at_best_hub": edge_disjoint,
+                }
+                return ("pass" if free else "fail"), info
 
-                cases.append((str(spec), fn))
-    result = _run_cases("bouquet-semantics", cases)
-    result.details["edge_disjoint_divergences"] = sorted(divergences)
-    return result
+            yield str(spec), fn
+    return {"edge_disjoint_divergences": divergences}
 
 
-SUITES: dict[str, Callable[[dict], SuiteResult]] = {
-    "claim-1.1": _suite_claim_1_1,
-    "lemma-lm2": _suite_lemma_lm2,
-    "lemma-lm1": _suite_lemma_lm1,
-    "lemma-lm5": _suite_lemma_lm5,
-    "claim-3.1": _suite_claim_3_1,
-    "lemma-lm4": _suite_lemma_lm4,
-    "claim-3.2": _suite_claim_3_2,
-    "claim-3.3": _suite_claim_3_3,
-    "claim-3.5": _suite_claim_3_5,
-    "claim-4.2": _suite_claim_4_2,
-    "claim-4.3": _suite_claim_4_3,
-    "thm-1-structure": _suite_thm_1_structure,
-    "thm-2": _suite_thm_2,
-    "thm-3": _suite_thm_3,
-    "thm-4": _suite_thm_4,
-    "remark-rk111": _suite_remark_rk111,
-    "bouquet-semantics": _suite_bouquet_semantics,
+@dataclass
+class Suite:
+    """A suite's case builder and the check it makes. ``keys`` are the
+    builder's keyword arguments: the parameters the suite accepts."""
+
+    build: Callable[..., Iterator[Case]]
+    note: str
+    keys: frozenset[str] = field(init=False)
+
+    def __post_init__(self):
+        self.keys = frozenset(inspect.signature(self.build).parameters)
+
+
+SUITES: dict[str, Suite] = {
+    "claim-1.1": Suite(
+        _claim_1_1,
+        "hub-plus-matching witness beats sqrt(n)+1-(n-t)/(n-sqrt(n)) > 0.8 sqrt(n)",
+    ),
+    "lemma-lm2": Suite(_lemma_lm2, "rho <= 3/2 + sqrt(n - 7/4) on connected outerplanar graphs"),
+    "lemma-lm1": Suite(
+        partial(_monotonicity_cases, 1),
+        "transformation strictly raises rho of K1-join above its threshold",
+    ),
+    "lemma-lm5": Suite(
+        partial(_monotonicity_cases, 2),
+        "transformation strictly raises rho of K2-join above its threshold",
+    ),
+    "claim-3.1": Suite(
+        partial(_box_cases, 1, grid=((5, 3, 5000), (9, 2, 5000), (5, 3, 12000), (9, 2, 12000))),
+        "non-hub Perron entries in [1/rho, 1/rho + 2.04/rho^2]",
+    ),
+    "lemma-lm4": Suite(
+        partial(_box_cases, 2, grid=((7, 3, 5000),)),
+        "non-hub Perron entries in [2/rho, 2/rho + 4.496/rho^2]",
+    ),
+    "claim-3.2": Suite(_claim_3_2, "path-entry difference sequences stay in the A_i/B_i boxes"),
+    "claim-3.3": Suite(
+        _claim_3_3, "K1-join contains C_l iff the longest part has >= l-1 vertices"
+    ),
+    "claim-3.5": Suite(_claim_3_5, "K1 v P_n1 contains the bouquet iff n1 >= t(l-1)"),
+    "claim-4.2": Suite(
+        _claim_4_2, "K2 v (P_n1 u P_n2) contains the bouquet iff n1+n2 >= tl-t-1"
+    ),
+    "claim-4.3": Suite(
+        _claim_4_3, "freeness of long-first-path K2-joins matches the corrected conjunction"
+    ),
+    "thm-1-structure": Suite(
+        _thm_1_structure, "do small-n maximizers have a hub over disjoint paths (reported)"
+    ),
+    "thm-2": Suite(
+        partial(_theorem_cases, "thm-2"),
+        "K1 v H_OP(tl-t-1, l-2): class membership, freeness, sibling dominance",
+    ),
+    "thm-3": Suite(
+        partial(_theorem_cases, "thm-3", dom_ls=(3,)),
+        "K1 v H_OP(2t-1, 1): class membership, freeness, sibling dominance",
+    ),
+    "thm-4": Suite(
+        partial(_theorem_cases, "thm-4"),
+        "K2 v H_P(tl-t-l, l-2): class membership, freeness, sibling dominance",
+    ),
+    "remark-rk111": Suite(
+        _remark_rk111, "cycle-free planar witnesses: K_{2,n-2}, J_n, balanced K2-join"
+    ),
+    "bouquet-semantics": Suite(
+        _bouquet_semantics, "subgraph bouquet-freeness vs edge-disjoint packing counts"
+    ),
 }
 
-SUITE_NOTES: dict[str, str] = {
-    "claim-1.1": "hub-plus-matching witness beats sqrt(n)+1-(n-t)/(n-sqrt(n)) > 0.8 sqrt(n)",
-    "lemma-lm2": "rho <= 3/2 + sqrt(n - 7/4) on connected outerplanar graphs",
-    "lemma-lm1": "transformation strictly raises rho of K1-join above its threshold",
-    "lemma-lm5": "transformation strictly raises rho of K2-join above its threshold",
-    "claim-3.1": "non-hub Perron entries in [1/rho, 1/rho + 2.04/rho^2]",
-    "lemma-lm4": "non-hub Perron entries in [2/rho, 2/rho + 4.496/rho^2]",
-    "claim-3.2": "path-entry difference sequences stay in the A_i/B_i boxes",
-    "claim-3.3": "K1-join contains C_l iff the longest part has >= l-1 vertices",
-    "claim-3.5": "K1 v P_n1 contains the bouquet iff n1 >= t(l-1)",
-    "claim-4.2": "K2 v (P_n1 u P_n2) contains the bouquet iff n1+n2 >= tl-t-1",
-    "claim-4.3": "freeness of long-first-path K2-joins matches the corrected conjunction",
-    "thm-1-structure": "do small-n maximizers have a hub over disjoint paths (reported)",
-    "thm-2": "K1 v H_OP(tl-t-1, l-2): class membership, freeness, sibling dominance",
-    "thm-3": "K1 v H_OP(2t-1, 1): class membership, freeness, sibling dominance",
-    "thm-4": "K2 v H_P(tl-t-l, l-2): class membership, freeness, sibling dominance",
-    "remark-rk111": "cycle-free planar witnesses: K_{2,n-2}, J_n, balanced K2-join",
-    "bouquet-semantics": "subgraph bouquet-freeness vs edge-disjoint packing counts",
-}
 
-
-def run_suite(
-    suite: str, params: dict | None = None, threads: int | None = None
-) -> SuiteResult:
-    """Run one suite's cases in order. ``threads`` is accepted and ignored:
-    the cases hold the GIL, so a thread pool bought no speed."""
+def run_suite(suite: str, params: dict | None = None) -> SuiteResult:
+    """Run one suite's cases in order; ``params`` are keyword arguments of
+    the suite's builder, and a key it does not take is a ValueError."""
     if suite not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise ValueError(f"unknown suite {suite!r}; known suites: {known}")
-    return SUITES[suite](params or {})
+    params = params or {}
+    keys = SUITES[suite].keys
+    unknown = sorted(set(params) - keys)
+    if unknown:
+        raise ValueError(
+            f"suite {suite!r} takes no parameter {', '.join(unknown)};"
+            f" accepted: {', '.join(sorted(keys))}"
+        )
+    builder = SUITES[suite].build(**params)
+    cases: list[Case] = []
+    while True:
+        try:
+            cases.append(next(builder))
+        except StopIteration as done:  # the builder returns the details
+            return _run_cases(suite, cases, done.value)
 
 
 def traceability(results: list[SuiteResult]) -> tuple[str, dict]:
@@ -691,17 +598,14 @@ def traceability(results: list[SuiteResult]) -> tuple[str, dict]:
     ]
     payload = {}
     for r in results:
+        note = SUITES[r.suite].note if r.suite in SUITES else ""
         verdict = "PASS" if r.ok else "FAIL"
         if r.ok and r.indeterminates:
             verdict = "PASS (with indeterminates)"
         lines.append(
-            f"| {r.suite} | {SUITE_NOTES.get(r.suite, '')} | {r.cases} |"
+            f"| {r.suite} | {note} | {r.cases} |"
             f" {r.passes} | {len(r.failures)} | {len(r.indeterminates)} |"
             f" {verdict} |"
         )
-        payload[r.suite] = {
-            "check": SUITE_NOTES.get(r.suite, ""),
-            "verdict": verdict,
-            **r.to_dict(),
-        }
+        payload[r.suite] = {"check": note, "verdict": verdict, **r.to_dict()}
     return "\n".join(lines), payload

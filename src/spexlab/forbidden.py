@@ -87,54 +87,12 @@ def find_cycle_of_length(g: Graph, l: int) -> list[int] | None:
         raise ValueError("cycle length must be >= 3")
     if l > g.n:
         return None
+    rows = g.rows()
     for s in range(g.n - l + 1):
-        allowed = ~((1 << (s + 1)) - 1)  # vertices > s
-        dist = _bfs_dist(g, s, allowed | (1 << s))
-        path = [s]
-        found = _cycle_dfs(g, s, l, path, 1 << s, allowed, dist)
+        found = _first_hub_cycle(rows, s, l, (1 << s) - 1)  # vertices below s are out
         if found is not None:
             _validate_cycle(g, found)
             return found
-    return None
-
-
-def _bfs_dist(g: Graph, s: int, allowed: int) -> dict[int, int]:
-    dist = {s: 0}
-    frontier = [s]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            r = g.row(v) & allowed
-            while r:
-                w = (r & -r).bit_length() - 1
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-                r &= r - 1
-        frontier = nxt
-    return dist
-
-
-def _cycle_dfs(g, s, l, path, visited, allowed, dist):
-    v = path[-1]
-    if len(path) == l:
-        if g.has_edge(v, s) and path[1] < path[-1]:
-            return list(path)
-        return None
-    budget = l - len(path) + 1  # edges left to get back to s
-    r = g.row(v) & allowed & ~visited
-    while r:
-        w = (r & -r).bit_length() - 1
-        r &= r - 1
-        if dist.get(w, l + 2) > budget - 1:
-            continue
-        path.append(w)
-        found = _cycle_dfs(g, s, l, path, visited | (1 << w), allowed, dist)
-        if found is not None:
-            return found
-        path.pop()
     return None
 
 
@@ -161,7 +119,8 @@ def find_bouquet(g: Graph, t: int, l: int) -> tuple[int, list[list[int]]] | None
             continue
         packed = _pack_hub_cycles(_hub_cycle_sets(rows, v, l), t)
         if packed is not None:
-            cycles = [_hub_cycle_on(rows, v, l, m) for m in packed]
+            # the first cycle on each packed set: the walk skips all else
+            cycles = [_first_hub_cycle(rows, v, l, ~(m | 1 << v)) for m in packed]
             _validate_bouquet(g, v, cycles)
             return v, cycles
     return None
@@ -181,18 +140,20 @@ def max_hub_cycles_at(g: Graph, v: int, l: int, cap: int) -> int:
 
 
 def _walk_hub_cycles(
-    rows: Sequence[int], v: int, l: int, sink: Callable[[list[int], int, int], None]
+    rows: Sequence[int], v: int, l: int, sink: Callable[[list[int], int, int], None], skip: int = 0
 ) -> None:
-    """Visit every l-cycle through v once, by a DFS over the bitset rows.
+    """Visit every l-cycle through v that avoids the vertices of ``skip``
+    once, by a DFS over the bitset rows.
 
     Each cycle is v, a, ..., w, z with a < z: for every path a..w of l - 2
     vertices in G - v that starts at a neighbour a of v, the walk calls
     ``sink(path, inner, ends)`` once, where ``inner`` is the bitset of the
     path and ``ends`` the nonzero bitset of the closing vertices z (the
     neighbours of both v and w above a, off the path). ``path`` is reused
-    by the walk; a sink that keeps it must copy it.
+    by the walk; a sink that keeps it must copy it. A sink ends the walk
+    early by raising.
     """
-    hub = 1 << v
+    start = 1 << v | skip
     path: list[int] = []
 
     def extend(w: int, mask: int, left: int, ends: int) -> None:
@@ -200,7 +161,7 @@ def _walk_hub_cycles(
         if not left:
             zs = rows[w] & ends & ~mask
             if zs:
-                sink(path, mask ^ hub, zs)
+                sink(path, mask ^ start, zs)
             return
         r = rows[w] & ~mask
         if left == 1:  # close each next vertex here: most paths end unclosed
@@ -211,7 +172,7 @@ def _walk_hub_cycles(
                 zs = rows[x] & ends & ~mask
                 if zs:
                     path.append(x)
-                    sink(path, (mask | b) ^ hub, zs)
+                    sink(path, (mask | b) ^ start, zs)
                     path.pop()
             return
         while r:
@@ -221,18 +182,21 @@ def _walk_hub_cycles(
             extend(path[-1], mask | b, left - 1, ends)
             path.pop()
 
-    r = rows[v]
-    while r:
-        b = r & -r
-        r ^= b
-        if not r:  # no closing neighbour above the largest one
-            break
-        path.append(b.bit_length() - 1)
-        extend(path[0], hub | b, l - 3, r)
-        path.pop()
-    # extend reaches itself through its closure; emptying that cell frees
-    # the sink and what it holds now instead of at the next full collection
-    del extend
+    r = rows[v] & ~start
+    try:
+        while r:
+            b = r & -r
+            r ^= b
+            if not r:  # no closing neighbour above the largest one
+                break
+            path.append(b.bit_length() - 1)
+            extend(path[0], start | b, l - 3, r)
+            path.pop()
+    finally:
+        # extend reaches itself through its closure; emptying that cell
+        # frees the sink and what it holds now instead of at the next full
+        # collection, also when the sink stopped the walk
+        del extend
 
 
 _SPREAD = (1 << 64) - 59  # a prime
@@ -261,19 +225,22 @@ def _hub_cycle_sets(rows: Sequence[int], v: int, l: int) -> list[int]:
     return masks
 
 
-def _hub_cycle_on(rows: Sequence[int], v: int, l: int, mask: int) -> list[int]:
-    """The first l-cycle through v in walk order whose other vertices are
-    mask, listed from v. The walk on G[mask + v] meets the cycles of G in
-    the same order, skipping those that leave mask."""
-    keep = mask | 1 << v
-    found: list[int] = []
+class _Found(Exception):
+    """Raised by a sink to stop a walk at the first cycle it meets."""
 
-    def first(path: list[int], inner: int, ends: int) -> None:
-        if not found:
-            found.extend([v, *path, (ends & -ends).bit_length() - 1])
 
-    _walk_hub_cycles([r & keep for r in rows], v, l, first)
-    return found
+def _first_hub_cycle(rows: Sequence[int], v: int, l: int, skip: int) -> list[int] | None:
+    """The first l-cycle through v in walk order that avoids the vertices
+    of skip, listed from v, or None."""
+
+    def stop(path: list[int], inner: int, ends: int) -> None:
+        raise _Found([v, *path, (ends & -ends).bit_length() - 1])
+
+    try:
+        _walk_hub_cycles(rows, v, l, stop, skip)
+    except _Found as found:
+        return found.args[0]
+    return None
 
 
 def _pack_hub_cycles(masks: list[int], t: int) -> list[int] | None:

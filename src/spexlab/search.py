@@ -50,7 +50,6 @@ class SearchConfig:
     connected_only: bool = True
     mode: str = "exhaustive"
     seed: int = 0
-    threads: int | None = None  # accepted and ignored: scoring runs in order
     checkpoint: str | None = None
     exhaustive_cap: int = 10
 
@@ -63,7 +62,7 @@ class SearchConfig:
             raise ValueError(f"bad n range [{self.n_min}, {self.n_max}]")
 
     def key_dict(self) -> dict:
-        """Identity of the search problem (excludes threads/checkpoint)."""
+        """Identity of the search problem (excludes checkpoint)."""
         return {
             "n_min": self.n_min,
             "n_max": self.n_max,

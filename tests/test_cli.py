@@ -171,6 +171,10 @@ def test_usage_errors_exit_1(capsys):
         ("construct", "--family", "wheel:n=2"),  # domain error from library
         ("check", "--family", "wheel:n=5"),  # nothing to check
         ("verify", "--suite", "nope"),
+        ("verify", "--suite", "lemma-lm5", "--param", "case=3"),  # misspelt key
+        ("verify", "--suite", "all", "--param", "nosuch=1"),  # no suite takes it
+        ("verify", "--suite", "lemma-lm5", "--nmax", "3"),  # removed: use --param
+        ("search", "--nmin", "3", "--nmax", "4", "--threads", "2"),  # removed
         ("transform", "--partition", "2,x", "--i", "0", "--j", "1"),
         ("search", "--nmin", "4", "--nmax", "20"),  # exhaustive cap
         ("frobnicate",),
@@ -180,6 +184,30 @@ def test_usage_errors_exit_1(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert err.strip(), argv
+
+
+def test_verify_all_routes_each_param_to_the_suites_that_take_it(capsys, monkeypatch):
+    from spexlab import experiments
+
+    seen = {}
+
+    def record(suite, params):
+        seen[suite] = params
+        return experiments.SuiteResult(suite, 0, 0)
+
+    monkeypatch.setattr(experiments, "run_suite", record)
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "all", "--format", "csv",
+        "--param", "nmax=5", "--param", "total_cap=9", "--param", "ts=2,3",
+    )
+    assert code == 0 and len(out.splitlines()) == 1 + len(experiments.SUITES)
+    assert sorted(seen) == sorted(experiments.SUITES)
+    assert seen["lemma-lm2"] == seen["thm-1-structure"] == {"nmax": 5}
+    assert seen["claim-3.3"] == {"total_cap": 9}
+    for suite in ("claim-3.5", "claim-4.2", "claim-4.3", "bouquet-semantics", "thm-2"):
+        assert seen[suite] == {"ts": (2, 3)}, suite
+    for suite in ("claim-1.1", "lemma-lm1", "claim-3.1", "claim-3.2", "remark-rk111"):
+        assert seen[suite] == {}, suite
 
 
 def test_malformed_checkpoint_exits_1(tmp_path, capsys):

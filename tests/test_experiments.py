@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from spexlab.experiments import (
-    SUITE_NOTES,
     SUITES,
     _run_cases,
     run_suite,
@@ -34,24 +36,36 @@ EXPECTED_SUITES = {
     "bouquet-semantics",
 }
 
-# fast configurations used to exercise the harness itself
+# fast configurations used to exercise the harness itself, each with the
+# SHA-256 of its sorted-key to_dict() JSON (these suites record no floats
+# when every case passes, so the digests do not depend on the solver)
 FAST = [
-    ("claim-1.1", {"n_values": (10, 25, 50)}),
-    ("lemma-lm1", {"cases": 10}),
-    ("lemma-lm5", {"cases": 10}),
-    ("claim-3.3", {"ls": (5, 6), "total_cap": 12}),
-    ("claim-3.5", {"ts": (2,), "ls": (3, 4)}),
-    ("claim-4.2", {"ts": (2,), "ls": (3, 4)}),
-    ("remark-rk111", {"ns": (8, 20), "ls": (5, 6)}),
-    ("bouquet-semantics", {"ts": (2,), "ls": (3, 4), "span": 2}),
-    ("thm-1-structure", {"nmax": 5}),
-    ("thm-3", {"grid": False, "n_dom": 60, "siblings": 3, "dom_ts": (2,)}),
+    ("claim-1.1", {"n_values": (10, 25, 50)},
+     "0d5ac93f86187ccd91aa6c5640a88f12fbe08d0ab2ff66fb2912d9d4e60c97a9"),
+    ("lemma-lm1", {"cases": 10},
+     "cb1e01299823ddbadb6cf2385fad10000dbbdc48ceb1afaf61ae97a38f50a21f"),
+    ("lemma-lm5", {"cases": 10},
+     "3b70677004ed5191d0d4f5c6d2eefcbc03ca1a19922776dec35d6a6895a2810f"),
+    ("claim-3.3", {"ls": (5, 6), "total_cap": 12},
+     "d33a0281da6037ac0dcc4cb24b7b9f16a2499d5801b4f6ee1ce73e96ec5b3d01"),
+    ("claim-3.5", {"ts": (2,), "ls": (3, 4)},
+     "e63fc4bd2b0f0f8c38a8616a4502b42f5d952137a71efafe84e93472f33c17d7"),
+    ("claim-4.2", {"ts": (2,), "ls": (3, 4)},
+     "16b47a5aebf34d8ce50f27a6eeb0e5e9dfb2317d37072facbac2f0aafdf6bdf9"),
+    ("remark-rk111", {"n_values": (8, 20), "ls": (5, 6)},
+     "50dbb681b6c377aaf2361a349e1848ed495b10c2900d3e26296bed635579f7e2"),
+    ("bouquet-semantics", {"ts": (2,), "ls": (3, 4), "span": 2},
+     "645fc2b6ddba8b2d896cebe587feb75ee9ae6915904b304d8ad3d9039c534fbc"),
+    ("thm-1-structure", {"nmax": 5},
+     "59920bffad42535b97936f8e4f76135e3d78a3003b1b79cbacefd8a213691809"),
+    ("thm-3", {"grid": False, "n_dom": 60, "siblings": 3, "dom_ts": (2,)},
+     "7f518243ba11e8bda47febe8a85821b0e41d899cc77a8dcb9f39bf51524440db"),
 ]
 
 
 def test_registry_is_complete():
     assert set(SUITES) == EXPECTED_SUITES
-    assert set(SUITE_NOTES) == EXPECTED_SUITES
+    assert all(s.note and s.keys for s in SUITES.values())
 
 
 def test_unknown_suite_lists_known_ids():
@@ -59,8 +73,18 @@ def test_unknown_suite_lists_known_ids():
         run_suite("no-such-suite")
 
 
-@pytest.mark.parametrize("suite,params", FAST, ids=[s for s, _ in FAST])
-def test_fast_suites_pass_and_balance(suite, params):
+def test_misspelt_parameter_is_rejected_with_the_accepted_keys():
+    with pytest.raises(ValueError, match="case.*accepted: cases, margin, s2_max"):
+        run_suite("lemma-lm5", {"case": 3})
+    with pytest.raises(ValueError, match="ns.*accepted: ls, n_values"):
+        run_suite("remark-rk111", {"ns": (8,)})
+    # a bound builder argument is not a parameter
+    with pytest.raises(ValueError, match="theorem"):
+        run_suite("thm-2", {"theorem": "thm-4"})
+
+
+@pytest.mark.parametrize("suite,params,digest", FAST, ids=[s for s, _, _ in FAST])
+def test_fast_suites_pass_and_balance(suite, params, digest):
     r = run_suite(suite, params)
     assert r.suite == suite
     assert r.cases == r.passes + len(r.failures) + len(r.indeterminates)
@@ -69,14 +93,13 @@ def test_fast_suites_pass_and_balance(suite, params):
     d = r.to_dict()
     assert d["suite"] == suite and d["cases"] == r.cases
     assert isinstance(r.summary(), str) and suite in r.summary()
+    assert hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_suites_are_deterministic():
     a = run_suite("lemma-lm5", {"cases": 8}).to_dict()
     b = run_suite("lemma-lm5", {"cases": 8}).to_dict()
     assert a == b
-    c = run_suite("lemma-lm5", {"cases": 8}, threads=4).to_dict()
-    assert a == c
 
 
 def test_failure_entries_carry_repro_data():
@@ -97,7 +120,7 @@ def test_traceability_outputs():
     assert "claim-3.5" in table and "lemma-lm5" in table
     for r in results:
         row = payload[r.suite]
-        assert row["check"] == SUITE_NOTES[r.suite]
+        assert row["check"] == SUITES[r.suite].note
         assert row["verdict"] in ("PASS", "FAIL", "PASS (with indeterminates)")
         assert row["cases"] == r.cases
 

@@ -96,6 +96,69 @@ def test_cycle_detector_against_networkx():
                 check_cycle_witness(g, l, found)
 
 
+def reference_find_cycle(g: Graph, l: int) -> list[int] | None:
+    """Cycle search by a distance-pruned DFS from each start s over the
+    vertices above s; the first (p1, ..., p_{l-1}) in lexicographic order
+    with p1 < p_{l-1} closing back to s."""
+    if l > g.n:
+        return None
+    for s in range(g.n - l + 1):
+        allowed = ~((1 << (s + 1)) - 1)  # vertices > s
+        dist = {s: 0}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                r = g.row(v) & (allowed | (1 << s))
+                while r:
+                    w = (r & -r).bit_length() - 1
+                    r &= r - 1
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+
+        def dfs(path, visited):
+            v = path[-1]
+            if len(path) == l:
+                return list(path) if g.has_edge(v, s) and path[1] < path[-1] else None
+            budget = l - len(path) + 1  # edges left to get back to s
+            r = g.row(v) & allowed & ~visited
+            while r:
+                w = (r & -r).bit_length() - 1
+                r &= r - 1
+                if dist.get(w, l + 2) > budget - 1:
+                    continue
+                found = dfs(path + [w], visited | (1 << w))
+                if found is not None:
+                    return found
+            return None
+
+        found = dfs([s], 1 << s)
+        if found is not None:
+            return found
+    return None
+
+
+def test_cycle_witness_matches_reference_on_random_graphs():
+    rnd = random.Random(31)
+    for _ in range(300):
+        n = rnd.randint(3, 12)
+        g = random_graph(rnd, n, rnd.choice([0.15, 0.3, 0.5, 0.8]))
+        for l in range(3, n + 2):
+            assert find_cycle_of_length(g, l) == reference_find_cycle(g, l), (g.rows(), l)
+
+
+def test_cycle_witness_matches_reference_on_families():
+    specs = [FamilySpec("wheel", 12), FamilySpec("star", 30), FamilySpec("jn", 31)]
+    specs += [FamilySpec("k2n2", 14), FamilySpec("claimw", 20, t=4)]
+    specs += [FamilySpec(k, 40, t=t, l=l) for k in ("k1hop", "k2hp") for t, l in ((2, 5), (3, 4))]
+    for spec in specs:
+        g = construct(spec)
+        for l in range(3, 11):
+            assert find_cycle_of_length(g, l) == reference_find_cycle(g, l), (str(spec), l)
+
+
 @given(graphs(max_n=8))
 @settings(max_examples=60, deadline=None)
 def test_single_bouquet_is_cycle(g):
