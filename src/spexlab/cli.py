@@ -119,6 +119,8 @@ def _load_graph(args) -> Graph:
 
 
 def _coerce(text: str):
+    if text.lower() in ("true", "false"):
+        return text.lower() == "true"
     for cast in (int, float):
         try:
             return cast(text)
@@ -310,9 +312,9 @@ def _cmd_verify(args) -> tuple[int, str]:
             raise UsageError(f"bad --param {item!r}; expected key=value")
         key, _, val = item.partition("=")
         params[key.strip()] = _coerce(val.strip())
+    suites = experiments.SUITES
     runs = [(args.suite, params)]
     if args.suite == "all":  # each suite gets the keys it takes
-        suites = experiments.SUITES
         unknown = set(params).difference(*(s.keys for s in suites.values()))
         if unknown:
             raise UsageError(f"no suite takes --param {', '.join(sorted(unknown))}")
@@ -320,6 +322,11 @@ def _cmd_verify(args) -> tuple[int, str]:
             (name, {k: v for k, v in params.items() if k in suites[name].keys})
             for name in sorted(suites)
         ]
+    for name, p in runs:  # one value for a tuple parameter is a 1-tuple
+        defaults = suites[name].defaults if name in suites else {}
+        for k, v in p.items():
+            if isinstance(defaults.get(k), tuple) and not isinstance(v, tuple):
+                p[k] = (v,)
     results = [experiments.run_suite(name, p) for name, p in runs]
     for r in results:
         print(r.summary(), file=sys.stderr)

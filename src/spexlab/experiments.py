@@ -500,14 +500,18 @@ def _bouquet_semantics(ts=(2, 3), ls=(3, 4, 5), span=4) -> Iterator[Case]:
 @dataclass
 class Suite:
     """A suite's case builder and the check it makes. ``keys`` are the
-    builder's keyword arguments: the parameters the suite accepts."""
+    builder's keyword arguments: the parameters the suite accepts, with
+    their ``defaults``."""
 
     build: Callable[..., Iterator[Case]]
     note: str
     keys: frozenset[str] = field(init=False)
+    defaults: dict[str, object] = field(init=False)
 
     def __post_init__(self):
-        self.keys = frozenset(inspect.signature(self.build).parameters)
+        params = inspect.signature(self.build).parameters
+        self.keys = frozenset(params)
+        self.defaults = {k: p.default for k, p in params.items()}
 
 
 SUITES: dict[str, Suite] = {

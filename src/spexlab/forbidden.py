@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .graph import Graph
+from .graph import Graph, _bits
 from .recognition import to_networkx
 
 _GRAMMAR = re.compile(r"^(?:C(?P<cl>\d+)|B(?P<bt>\d+)x(?P<bl>\d+)|M(?P<mk>\d+))$")
@@ -114,9 +114,18 @@ def find_bouquet(g: Graph, t: int, l: int) -> tuple[int, list[list[int]]] | None
     if g.n < t * (l - 1) + 1:
         return None
     rows = g.rows()
-    for v in range(g.n):
-        if g.degree(v) < 2 * t:  # the hub carries 2 cycle-edges per cycle
-            continue
+    deg = [r.bit_count() for r in rows]
+    # the possible hubs: a hub carries 2 cycle-edges per cycle
+    hubs = sum(1 << v for v, d in enumerate(deg) if d >= 2 * t)
+    for v in _bits(hubs):
+        if t >= 2 and rows[v] & hubs:
+            # A packing holds at most one cycle through any u != v, so t
+            # cycles at v leave t - 1 in G - u. Strip v's busiest neighbour
+            # among the possible hubs (ties to the smallest); a vertex of
+            # lower degree rarely refutes, and its walk costs a full one.
+            u = max(_bits(rows[v] & hubs), key=deg.__getitem__)
+            if _pack_hub_cycles(_hub_cycle_sets(rows, v, l, 1 << u), t - 1) is None:
+                continue
         packed = _pack_hub_cycles(_hub_cycle_sets(rows, v, l), t)
         if packed is not None:
             # the first cycle on each packed set: the walk skips all else
@@ -202,9 +211,9 @@ def _walk_hub_cycles(
 _SPREAD = (1 << 64) - 59  # a prime
 
 
-def _hub_cycle_sets(rows: Sequence[int], v: int, l: int) -> list[int]:
-    """The distinct internal vertex sets of the l-cycles through v, as
-    bitmasks in walk order."""
+def _hub_cycle_sets(rows: Sequence[int], v: int, l: int, skip: int = 0) -> list[int]:
+    """The distinct internal vertex sets of the l-cycles through v that
+    avoid the vertices of skip, as bitmasks in walk order."""
     # Python hashes an int mod 2^61 - 1, under which bit k weighs the same
     # as bit k + 61, so the masks of one hub collide by the thousand;
     # pairing each mask with its residue mod another prime spreads them.
@@ -221,7 +230,7 @@ def _hub_cycle_sets(rows: Sequence[int], v: int, l: int) -> list[int]:
                 seen.add(key)
                 masks.append(m)
 
-    _walk_hub_cycles(rows, v, l, keep)
+    _walk_hub_cycles(rows, v, l, keep, skip)
     return masks
 
 

@@ -29,7 +29,23 @@ def to_networkx(g: Graph) -> nx.Graph:
 
 
 def is_planar(g: Graph) -> PlanarityVerdict:
-    """Left-right planarity test."""
+    """Planarity, first by one vertex deletion: g lies in K1 v (g - v), which
+    is planar when g - v is outerplanar (G. Chartrand and F. Harary, Ann.
+    Inst. H. Poincare B 3, 1967). A vertex v of maximum degree is tried, and
+    g - v is g's rows with v isolated. Otherwise networkx's left-right test
+    decides.
+
+    Witness tags: "apex-outerplanar" (g - v is outerplanar),
+    "lr-embedding" and "lr-obstruction" (the left-right test's verdict).
+    """
+    if g.n:
+        v = max(range(g.n), key=g.degree)
+        rows = list(g.rows())
+        for w in g.neighbors(v):
+            rows[w] ^= 1 << v
+        rows[v] = 0
+        if is_outerplanar(Graph._derived(g.n, rows)):
+            return PlanarityVerdict(True, "apex-outerplanar")
     ok, _ = nx.check_planarity(to_networkx(g), counterexample=False)
     return PlanarityVerdict(ok, "lr-embedding" if ok else "lr-obstruction")
 

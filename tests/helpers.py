@@ -21,6 +21,16 @@ def random_graph(rnd: random.Random, n: int, p: float) -> Graph:
     return from_edges(n, edges)
 
 
+def random_hubbed_graph(rnd: random.Random, n: int, p: float, hubs: int) -> Graph:
+    """Random graph plus ``hubs`` random vertices, each joined to a random
+    majority of the others: the shape of the hub-joined families."""
+    edges = set(random_graph(rnd, n, p).edges())
+    for h in rnd.sample(range(n), hubs):
+        q = rnd.choice([0.6, 0.85, 1.0])
+        edges |= {(min(h, w), max(h, w)) for w in range(n) if w != h and rnd.random() < q}
+    return from_edges(n, sorted(edges))
+
+
 def random_connected_graph(rnd: random.Random, n: int, p: float) -> Graph:
     """Random graph plus a random spanning tree so it is always connected."""
     g = random_graph(rnd, n, p)

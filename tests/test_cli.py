@@ -186,7 +186,8 @@ def test_usage_errors_exit_1(capsys):
         assert err.strip(), argv
 
 
-def test_verify_all_routes_each_param_to_the_suites_that_take_it(capsys, monkeypatch):
+def _record_suite_params(monkeypatch) -> dict:
+    """Replace run_suite by a recorder of the params each suite receives."""
     from spexlab import experiments
 
     seen = {}
@@ -196,6 +197,13 @@ def test_verify_all_routes_each_param_to_the_suites_that_take_it(capsys, monkeyp
         return experiments.SuiteResult(suite, 0, 0)
 
     monkeypatch.setattr(experiments, "run_suite", record)
+    return seen
+
+
+def test_verify_all_routes_each_param_to_the_suites_that_take_it(capsys, monkeypatch):
+    from spexlab import experiments
+
+    seen = _record_suite_params(monkeypatch)
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "all", "--format", "csv",
         "--param", "nmax=5", "--param", "total_cap=9", "--param", "ts=2,3",
@@ -208,6 +216,35 @@ def test_verify_all_routes_each_param_to_the_suites_that_take_it(capsys, monkeyp
         assert seen[suite] == {"ts": (2, 3)}, suite
     for suite in ("claim-1.1", "lemma-lm1", "claim-3.1", "claim-3.2", "remark-rk111"):
         assert seen[suite] == {}, suite
+
+
+def test_verify_params_take_booleans_and_one_value_tuples(capsys, monkeypatch):
+    seen = _record_suite_params(monkeypatch)
+    code, _, _ = run_cli(
+        capsys, "verify", "--suite", "all", "--format", "csv", "--param", "grid=False",
+        "--param", "dominance=TRUE", "--param", "ls=4", "--param", "nmax=5",
+    )
+    assert code == 0
+    assert seen["thm-2"] == {"grid": False, "dominance": True, "ls": (4,)}
+    assert seen["claim-3.5"] == {"ls": (4,)}
+    assert seen["lemma-lm2"] == {"nmax": 5}  # not a tuple parameter: kept as is
+
+
+def test_verify_false_switches_a_flag_off(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "thm-3", "--format", "csv",
+        "--param", "grid=False", "--param", "n_count=1", "--param", "dominance=false",
+    )
+    assert code == 0 and out.splitlines()[1] == "thm-3,0,0,0,0"
+
+
+def test_verify_one_value_means_a_one_tuple(capsys):
+    outs = [
+        run_cli(capsys, "verify", "--suite", "claim-3.5", "--format", "csv", "--param", ls)
+        for ls in ("ls=4", "ls=4,")
+    ]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert outs[0][1].splitlines()[1] == "claim-3.5,8,8,0,0"
 
 
 def test_malformed_checkpoint_exits_1(tmp_path, capsys):

@@ -9,7 +9,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from helpers import graphs, random_graph, to_nx
+import spexlab.forbidden as forbidden
+from helpers import graphs, random_graph, random_hubbed_graph, to_nx
 from spexlab.constructions import FamilySpec, PathPartition, construct, joined_paths
 from spexlab.forbidden import (
     ForbiddenSpec,
@@ -403,6 +404,49 @@ def test_bouquet_matches_reference_past_61_vertices(kind):
         for t, l in [(2, 3), (3, 4), (2, 5)]:
             spec = FamilySpec(kind, n, t=t, l=l) if kind != "wheel" else FamilySpec(kind, n)
             check_against_reference(construct(spec), t, l)
+
+
+def _spy_walks(monkeypatch) -> list[tuple[int, int]]:
+    """Record (hub, skip mask) of every hub-cycle walk, in call order."""
+    walks = []
+    walk = forbidden._walk_hub_cycles
+
+    def spy(rows, v, l, sink, skip=0):
+        walks.append((v, skip))
+        return walk(rows, v, l, sink, skip)
+
+    monkeypatch.setattr(forbidden, "_walk_hub_cycles", spy)
+    return walks
+
+
+def test_second_hub_refutes_without_a_full_walk(monkeypatch):
+    # at either hub of K2 v (paths), stripping the other hub leaves a fan
+    # with no two disjoint 5-cycles, so neither hub needs its full walk
+    g = construct(FamilySpec.parse("k2hp:t=3,l=5,n=2000"))
+    walks = _spy_walks(monkeypatch)
+    assert is_free(g, ForbiddenSpec.bouquet(3, 5))
+    assert len({v for v, _ in walks}) == 2
+    assert all(skip for _, skip in walks)
+
+
+@pytest.mark.parametrize("t", range(2, 5))
+def test_bouquet_matches_reference_on_hubbed_graphs(monkeypatch, t):
+    rnd = random.Random(9000 + t)
+    walks = _spy_walks(monkeypatch)
+    found = 0
+    for l in range(3, 8):
+        for _ in range(12):
+            n = t * (l - 1) + rnd.randint(1, 4)  # from the fewest that hold B_{t,l}
+            g = random_hubbed_graph(rnd, n, rnd.choice([1.5, 2.5]) / n, rnd.randint(1, 2))
+            got = find_bouquet(g, t, l)
+            assert got == reference_find_bouquet(g, t, l), (g.rows(), t, l)
+            found += got is not None
+    assert found
+    # a walk without one vertex (skip > 0) either refutes its hub or is
+    # followed by the full walk there: both must have happened
+    stripped = [i for i, (_, skip) in enumerate(walks) if skip > 0]
+    full = sum(walks[i + 1 : i + 2] == [(walks[i][0], 0)] for i in stripped)
+    assert 0 < full < len(stripped)
 
 
 def test_hub_cycle_count_when_int_hashes_collide():

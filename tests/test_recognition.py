@@ -21,6 +21,7 @@ from helpers import (
     atlas_classes,
     iso_classes,
     random_graph,
+    random_hubbed_graph,
     to_nx,
 )
 from spexlab.constructions import FamilySpec, construct
@@ -139,6 +140,11 @@ def _subdivided_k4() -> Graph:
 def test_verdict_carries_witness_tag():
     v = is_planar(complete(5))
     assert not v and v.witness == "lr-obstruction"
+    assert is_planar(construct(FamilySpec("wheel", 8))) == PlanarityVerdict(
+        True, "apex-outerplanar"
+    )
+    octahedron = from_edges(6, nx.complete_multipartite_graph(2, 2, 2).edges())
+    assert is_planar(octahedron) == PlanarityVerdict(True, "lr-embedding")
     assert is_outerplanar(path(3)) == PlanarityVerdict(True, "reduced")
     assert is_outerplanar(complete(4)) == PlanarityVerdict(False, "edge-bound")
     assert is_outerplanar(complete_bipartite(2, 3)) == PlanarityVerdict(
@@ -266,5 +272,41 @@ def test_outerplanarity_builds_no_networkx_graph(monkeypatch):
     monkeypatch.setattr(recognition, "nx", None)
     for g in (path(5), complete(4), complete_bipartite(2, 3), _subdivided_k4()):
         is_outerplanar(g)
-    with pytest.raises(AttributeError):
-        is_planar(path(5))
+    with pytest.raises(AttributeError):  # K5 - v = K4 is not outerplanar
+        is_planar(complete(5))
+
+
+@pytest.mark.parametrize(
+    "spec", ["k2hp:t=3,l=5,n=10000", "jn:n=10000", "wheel:n=10000", "k2n2:n=10000"]
+)
+def test_apex_certificate_needs_no_networkx(monkeypatch, spec):
+    g = construct(FamilySpec.parse(spec))
+    monkeypatch.setattr(recognition, "nx", None)
+    assert is_planar(g) == PlanarityVerdict(True, "apex-outerplanar")
+
+
+def _check_planarity_against_networkx(g: Graph) -> str:
+    v = is_planar(g)
+    assert v.planar == nx.check_planarity(to_nx(g), counterexample=False)[0], g.rows()
+    return v.witness
+
+
+def test_planarity_matches_networkx_on_atlas_and_hubbed_graphs():
+    tags = [
+        _check_planarity_against_networkx(from_edges(G.number_of_nodes(), G.edges()))
+        for G in nx.graph_atlas_g()
+    ]
+    rnd = random.Random(91018)
+    for _ in range(3000):
+        g = random_hubbed_graph(
+            rnd, rnd.randint(4, 14), rnd.choice([0.1, 0.2, 0.35]), rnd.randint(0, 3)
+        )
+        tags.append(_check_planarity_against_networkx(g))
+    # all three tags occur, so the certificate and both fallbacks are tested
+    assert set(tags) == {"apex-outerplanar", "lr-embedding", "lr-obstruction"}
+
+
+@pytest.mark.parametrize("template", FAMILY_SPECS)
+def test_family_planarity_matches_networkx(template):
+    for n in (12, 13, 40, 400):
+        _check_planarity_against_networkx(construct(FamilySpec.parse(template.format(n=n))))
