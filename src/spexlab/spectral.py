@@ -63,19 +63,41 @@ class ConvergenceError(RuntimeError):
         self.best = best
 
 
-def _edge_index_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the nonzeros of A, both orientations of
-    each edge."""
-    ri, ci = [], []
-    for u, v in g.edges():
-        ri.extend((u, v))
-        ci.extend((v, u))
-    return np.asarray(ri, dtype=np.intp), np.asarray(ci, dtype=np.intp)
+_CHUNK_BYTES = 1 << 20
 
 
 def adjacency_csr(g: Graph) -> sp.csr_matrix:
-    ri, ci = _edge_index_arrays(g)
-    return sp.csr_matrix((np.ones(len(ri)), (ri, ci)), shape=(g.n, g.n))
+    """Adjacency matrix of g in CSR form: data 1.0, ascending columns in
+    every row.
+
+    Read from the bitset rows: each row's little-endian bytes at its own
+    length, in chunks of at most ``_CHUNK_BYTES`` packed bytes, so the
+    work area stays in proportion to the graph's own storage. Only the
+    nonzero 64-bit words of a chunk are unpacked to bits. The set bits
+    come out in row order, row i contributing degree(i) of them, so each
+    row's columns are its bit offsets from the start of its bytes.
+    """
+    rows = g.rows()
+    deg = np.fromiter((r.bit_count() for r in rows), dtype=np.int64, count=g.n)
+    size = np.fromiter(((r.bit_length() + 7) >> 3 for r in rows), dtype=np.int64, count=g.n)
+    end = np.cumsum(size)
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    lo = 0
+    while lo < g.n:
+        start = end[lo] - size[lo]
+        hi = max(lo + 1, int(np.searchsorted(end, start + _CHUNK_BYTES, side="right")))
+        packed = b"".join(r.to_bytes(k, "little") for r, k in zip(rows[lo:hi], size[lo:hi].tolist()))
+        words = np.frombuffer(packed + bytes(-len(packed) % 8), dtype=np.uint64)
+        hit = np.flatnonzero(words)
+        bits = np.flatnonzero(np.unpackbits(words[hit].view(np.uint8), bitorder="little"))
+        offsets = 8 * (end[lo:hi] - size[lo:hi] - start)
+        indices[indptr[lo]:indptr[hi]] = (
+            64 * hit[bits >> 6] + (bits & 63) - np.repeat(offsets, deg[lo:hi])
+        )
+        lo = hi
+    return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(g.n, g.n))
 
 
 def rayleigh_quotient(g: Graph, x: np.ndarray) -> float:
@@ -95,12 +117,15 @@ def spectral_radius(
 
     Disconnected graphs score as the max over components; the returned
     Perron vector is supported on the winning component (entrywise
-    positive there, zero elsewhere).
+    positive there, zero elsewhere). Raises ``ConvergenceError`` when the
+    iteration cap is hit or the winning component's residual ends above
+    tol (its polish stalled at the longdouble floor).
     """
     if g.n == 0:
         raise ValueError("spectral radius undefined for the empty graph")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    a = adjacency_csr(g)
     comps = g.components()
     best: tuple[float, float, list[int], np.ndarray, str] | None = None
     total_iters = 0
@@ -109,11 +134,11 @@ def spectral_radius(
         if len(comp) == 1:
             rho_c, res_c, x_c, iters, path_c = 0.0, 0.0, np.ones(1), 0, "power"
         else:
-            sub = g.induced_subgraph(comp)
+            sub = a if len(comp) == g.n else a[comp][:, comp]
             rho_c, res_c, x_c, iters, converged, path_c = _power_iterate(
                 sub, tol, max_iterations - total_iters
             )
-            if not converged:
+            if not converged and total_iters + iters >= max_iterations:
                 failure = f"iteration cap {max_iterations} hit"
         total_iters += iters
         if best is None or rho_c > best[0]:
@@ -122,6 +147,8 @@ def spectral_radius(
             break
     assert best is not None
     rho, res, comp, x_c, path_used = best
+    if failure is None and res > tol:
+        failure = f"residual {res:.3g} above tol {tol:g} after the polish"
     perron = np.zeros(g.n)
     perron[comp] = x_c
     perron, perron_max = _normalized(perron)
@@ -131,18 +158,19 @@ def spectral_radius(
     return est
 
 
-def _power_iterate(g: Graph, tol: float, budget: int):
-    """Shifted power iteration on one connected component (n >= 2).
+def _power_iterate(a: sp.csr_matrix, tol: float, budget: int):
+    """Shifted power iteration on the adjacency matrix of one connected
+    component (n >= 2).
 
     Stops at residual <= tol, or at the float64 rounding floor: when the
     residual has not improved for a stretch of iterations the best iterate
     is taken (its residual is still a sound certificate). If that floor
     sits above the requested tol, a longdouble polish pass continues the
     iteration in 80-bit arithmetic, which lowers the certificate floor by
-    roughly three orders of magnitude.
+    roughly three orders of magnitude; the result counts as converged only
+    if the polished residual reaches tol.
     """
-    a = adjacency_csr(g)
-    x = np.array([g.degree(v) for v in range(g.n)], dtype=float)
+    x = np.diff(a.indptr).astype(float)
     x /= np.linalg.norm(x)
     best = (math.inf, 0.0, x)  # residual, rho, iterate
     since_improvement = 0
@@ -158,9 +186,9 @@ def _power_iterate(g: Graph, tol: float, budget: int):
             since_improvement += 1
         if res <= tol or since_improvement >= 200:
             res, rho, x = best
-            if res > tol and iters < budget:
-                rho, res, x, extra = _polish(g, x, tol, budget - iters)
-                return rho, res, np.abs(x), iters + extra, True, "polish"
+            if res > tol:
+                rho, res, x, extra = _polish(a, x, tol, budget - iters)
+                return rho, res, np.abs(x), iters + extra, res <= tol, "polish"
             return rho, res, np.abs(x), iters, True, "power"
         y = ax + x  # shift by +I keeps the top eigenvalue dominant
         x = y / np.linalg.norm(y)
@@ -188,24 +216,25 @@ def _rounding_slack(rho, terms: int) -> tuple[float, float]:
     return rho64, float(abs(rho - np.longdouble(rho64)) + ulps)
 
 
-def _longdouble_certificate(ri, ci, x):
-    """rho and ||Ax - rho x|| / ||x|| for a float64 x, summed in longdouble.
+def _longdouble_certificate(al: sp.csr_matrix, x: np.ndarray):
+    """rho and ||Ax - rho x|| / ||x|| for a float64 x, summed in longdouble;
+    ``al`` is the adjacency matrix as a longdouble CSR.
 
     The adjacency matrix is exactly representable, so the only rounding in
-    the certificate is the longdouble accumulation (~1e-19 relative; sums
-    use ``.sum()``, since numpy's ``@`` on longdouble arrays loses that
-    precision at n in the thousands); the
+    the certificate is the longdouble accumulation (~1e-19 relative). Each
+    (A x)_i is summed by the CSR product in row order, ascending columns;
+    the inner products use ``.sum()``, since numpy's ``@`` on dense
+    longdouble arrays loses that precision at n in the thousands. The
     bound |lambda_max - rho| <= residual then holds for the vector x as
     returned, independent of how x was produced. The residual includes
     that accumulation and the rounding of rho to float64, so the bound
     holds for the float64 rho that is returned.
     """
     xl = x.astype(np.longdouble)
-    ax = np.zeros(xl.shape[0], dtype=np.longdouble)
-    np.add.at(ax, ri, xl[ci])
+    ax = al @ xl
     nrm2 = (xl * xl).sum()
     rho = (xl * ax).sum() / nrm2
-    rho64, slack = _rounding_slack(rho, int(np.bincount(ri).max()))
+    rho64, slack = _rounding_slack(rho, int(np.diff(al.indptr).max()))
     res = math.sqrt(float(((ax - rho * xl) ** 2).sum() / nrm2))
     return rho64, res + slack
 
@@ -213,15 +242,18 @@ def _longdouble_certificate(ri, ci, x):
 _POLISH_BUDGET = 1000
 
 
-def _polish(g: Graph, x: np.ndarray, tol: float, budget: int):
+def _polish(a: sp.csr_matrix, x: np.ndarray, tol: float, budget: int):
     """Continue the shifted iteration in longdouble past the float64 floor.
 
     The matvec floor in float64 is around n * eps * rho, which for dense-hub
     graphs near n=2000 lands at ~1e-11 -- above the ~1e-12 rho gaps the
     strict comparisons need to certify. Polishing costs a handful of O(m)
     passes because the float64 iterate is already direction-converged.
+    Each step is the CSR product on a longdouble copy of ``a`` (rows
+    summed in ascending column order); inner products and norms use
+    ``.sum()``, not numpy's ``@`` on dense longdouble arrays.
     """
-    ri, ci = _edge_index_arrays(g)
+    al = a.astype(np.longdouble)
     xl = x.astype(np.longdouble)
     xl /= np.sqrt((xl * xl).sum())
     best = (np.inf, xl)
@@ -229,8 +261,7 @@ def _polish(g: Graph, x: np.ndarray, tol: float, budget: int):
     iters = 0
     cap = min(budget, _POLISH_BUDGET)
     while iters < cap:
-        ax = np.zeros(xl.shape[0], dtype=np.longdouble)
-        np.add.at(ax, ri, xl[ci])
+        ax = al @ xl
         rho = (xl * ax).sum()
         res = np.sqrt(((ax - rho * xl) ** 2).sum())
         if res < best[0]:
@@ -245,7 +276,7 @@ def _polish(g: Graph, x: np.ndarray, tol: float, budget: int):
         iters += 1
     x64 = np.asarray(best[1], dtype=float)
     x64 /= np.linalg.norm(x64)
-    rho, res = _longdouble_certificate(ri, ci, x64)
+    rho, res = _longdouble_certificate(al, x64)
     return rho, res, x64, iters
 
 

@@ -63,6 +63,12 @@ def test_rho_from_g6(capsys):
     assert code == 0 and out.startswith("rho ")
 
 
+def test_rho_below_rounding_floor_exits_3(capsys):
+    code, out, err = run_cli(capsys, "rho", "--family", "wheel:n=10", "--tol", "1e-20")
+    assert code == 3 and out == ""
+    assert err.startswith("convergence error: residual")
+
+
 def test_check_json(capsys):
     code, out, _ = run_cli(
         capsys,

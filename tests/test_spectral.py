@@ -4,15 +4,23 @@ bound/box report helpers."""
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from helpers import dense_rho, random_connected_graph, random_graph
+from spexlab import spectral
 from spexlab.constructions import (
     FamilySpec,
     PathPartition,
@@ -28,6 +36,7 @@ from spexlab.graph import (
     cycle,
     disjoint_union,
     empty_graph,
+    from_edges,
     join,
     path,
     star,
@@ -108,7 +117,10 @@ def test_polish_certificate_covers_float64_rounding():
     polished = 0
     for _ in range(30):
         g = random_connected_graph(rnd, rnd.randint(3, 9), 0.4)
-        est = spectral_radius(g, tol=1e-16)
+        try:
+            est = spectral_radius(g, tol=1e-16)
+        except ConvergenceError as e:  # polish floor above tol
+            est = e.best
         assert abs(est.rho - dense_rho(g)) <= 1e-8
         if est.path == "polish":
             polished += 1
@@ -189,6 +201,69 @@ def test_subgraph_monotonicity():
         assert lo.rho <= hi.rho + hi.residual + lo.residual
 
 
+def reference_csr(g: Graph):
+    """The adjacency CSR assembled from the edge list, both orientations."""
+    ri = [i for u, v in g.edges() for i in (u, v)]
+    ci = [j for u, v in g.edges() for j in (v, u)]
+    return sp.csr_matrix((np.ones(len(ri)), (ri, ci)), shape=(g.n, g.n))
+
+
+def assert_builder_matches(g: Graph):
+    a, ref = adjacency_csr(g), reference_csr(g)
+    assert a.shape == (g.n, g.n)
+    assert a.has_canonical_format
+    assert np.array_equal(a.indptr, ref.indptr)
+    assert np.array_equal(a.indices, ref.indices)
+    assert (a.data == 1.0).all()
+
+
+def test_adjacency_csr_matches_edge_list():
+    for g in (empty_graph(0), empty_graph(1), empty_graph(4), path(2)):
+        assert_builder_matches(g)
+    # isolated vertices before, between and after the edges
+    assert_builder_matches(disjoint_union([empty_graph(2), cycle(5), empty_graph(3), star(4)]))
+    for G in nx.graph_atlas_g():
+        assert_builder_matches(from_edges(G.number_of_nodes(), G.edges()))
+
+
+def test_adjacency_csr_across_chunks(monkeypatch):
+    # every row reaches the last vertex, so the rows take 4000 * 500 bytes:
+    # two chunks of at most 1 MB
+    rnd = random.Random(17)
+    n = 4000
+    edges = {(v, n - 1) for v in range(n - 1)}
+    edges |= {tuple(sorted(rnd.sample(range(n), 2))) for _ in range(3 * n)}
+    assert_builder_matches(from_edges(n, sorted(edges)))
+    # chunk boundaries at every place, including chunks of one row longer
+    # than the limit
+    for chunk in (1, 3, 16, 100):
+        monkeypatch.setattr(spectral, "_CHUNK_BYTES", chunk)
+        for _ in range(10):
+            assert_builder_matches(random_graph(rnd, rnd.randint(0, 120), 0.1))
+
+
+def test_solve_leaves_csgraph_unimported():
+    # scipy.sparse.csgraph costs about 0.1 s and 10 MB to import; components
+    # come from Graph.components instead
+    src = str(Path(spectral.__file__).resolve().parent.parent)
+    code = (
+        "import sys, spexlab\n"
+        "from spexlab.spectral import spectral_radius\n"
+        "g = spexlab.disjoint_union([spexlab.cycle(5), spexlab.complete(4), spexlab.empty_graph(1)])\n"
+        "spectral_radius(g, 1e-13)\n"
+        "print('scipy.sparse.csgraph' in sys.modules)\n"
+    )
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_rayleigh_quotient_errors():
     g = path(4)
     with pytest.raises(ValueError):
@@ -202,6 +277,115 @@ def test_convergence_error_carries_best():
         spectral_radius(path(300), tol=1e-12, max_iterations=3)
     assert isinstance(err.value.best, SpectralEstimate)
     assert 0 < err.value.best.rho < 2.0
+
+
+# spectral_radius outputs pinned bit for bit: rho.hex(), residual.hex(),
+# iterations, path and the SHA-256 of perron.tobytes(). The families at
+# n = 2000 take the float64 path at 1e-10 and the polish at 1e-13, the
+# unions go through components, and the atlas graphs at 1e-16 mostly end
+# on the polish floor above tol (read from ConvergenceError.best).
+def golden_graph(name: str) -> Graph:
+    if name.startswith("atlas-"):
+        G = nx.graph_atlas(int(name[len("atlas-"):]))
+        return from_edges(G.number_of_nodes(), G.edges())
+    if name == "union":
+        return disjoint_union(
+            [cycle(7), complete(1), join(complete(1), path(30)), complete(5), path(9)]
+        )
+    if name == "union-k2hp":
+        hub2 = construct(FamilySpec("k2hp", 300, t=3, l=5))
+        return disjoint_union([path(9), empty_graph(2), hub2, cycle(7)])
+    params = {"star": {}, "k1hop": {"t": 2, "l": 5}, "k2hp": {"t": 3, "l": 5}}[name]
+    return construct(FamilySpec(name, 2000, **params))
+
+
+GOLDEN = [
+    ('star', 1e-10, '0x1.65ae71b46e8aap+5', '0x1.9ec23b7852cdep-34', 614, 'power',
+     '827694151e6396aeead9b9f2d26b72c14a93154c1c769a78c56a3e84671de0de'),
+    ('star', 1e-13, '0x1.65ae71b46e82ep+5', '0x1.1df826a4e4cd7p-44', 987, 'polish',
+     'dbe46735b340a106af2af0c262a3c7a713a247b524c32bdc8891db54d105bbda'),
+    ('k1hop', 1e-10, '0x1.6b144c1194005p+5', '0x1.b4717ad0ace04p-34', 368, 'power',
+     'f1ca92384fb61844927ed0588def801977010be5e913e8c0c82689d3fc31f409'),
+    ('k1hop', 1e-13, '0x1.6b144c1193f84p+5', '0x1.16f7e9a9daa4ap-44', 681, 'polish',
+     '72b45a98b6b3ca93c3d510ecfc5912e187ae865d1bca2fbb7639169b8dd12225'),
+    ('k2hp', 1e-10, '0x1.018833792b0eap+6', '0x1.a4ac98b35b665p-34', 405, 'power',
+     'd2720f65e86cbd5423e2d4cf16014512c3595a75f7a855a3e5fbb80ae3362625'),
+    ('k2hp', 1e-13, '0x1.018833792b0b9p+6', '0x1.57d05f3888710p-44', 723, 'polish',
+     '4cdbe987983568f685f16014a8fabae626b8a503461a682c57e87af7a1cd6483'),
+    ('union', 1e-13, '0x1.a231615d7831ap+2', '0x1.408cfa8b9a70ep-44', 141, 'power',
+     '6efccc9fb908e9a72867549fd9e852314a87068cd9b3c58b77725846416dc694'),
+    ('union', 1e-10, '0x1.a231615d78319p+2', '0x1.edd331ce57481p-35', 108, 'power',
+     'fc77dc6fdd0356ab0a4bdfc3a31d90d2e5542cf64888a3c82624beb617bffe71'),
+    ('union-k2hp', 1e-13, '0x1.996cd9cd2a14fp+4', '0x1.b62fba896d575p-45', 493, 'polish',
+     '046b0badfafad25ecd891bb7af98b1b35a5dc2826c99419f80ad45534a9273aa'),
+    ('atlas-60', 1e-16, '0x1.6a09e667f3bcdp+0', '0x1.bf15db1140fe7p-53', 421, 'polish',
+     '4a0833f09d00996094307ac89ca11dada6dd68926aac86075bb6592d625fc94f'),
+    ('atlas-120', 1e-16, '0x1.5a50aa7723b1bp+1', '0x1.5295496e875f7p-53', 263, 'polish',
+     '0e800c34dac945f916ce27afc202d896cb32b8fa53c5766fef9cc6a9af85ab95'),
+    ('atlas-180', 1e-16, '0x1.cbdaccc4182f8p+1', '0x1.979353dd2e5dcp-53', 225, 'polish',
+     '2f6371d7d7403f2a48fda6b2e7d67387e4e3d3879c356a9a3f9656ec2f8c4f02'),
+    ('atlas-240', 1e-16, '0x1.cd4bca9cb5c71p+0', '0x1.9f0c77846047ep-53', 255, 'polish',
+     'b87ce45eb880b50e6e777248cc06a5709333525258ee7a1374bc2be5f4d65e0e'),
+    ('atlas-300', 1e-16, '0x1.5ac988f451f30p+1', '0x1.0e3dc633de417p-53', 231, 'polish',
+     'ebee380e905845beaa3e32c7e1ce3cf627e66a02ea03245bfc065412db89c5e4'),
+    ('atlas-360', 1e-16, '0x1.8599344fc75e3p+1', '0x1.a49153fe48a1ap-53', 232, 'polish',
+     '4f99e9edd07dcefd9c4720490f40727ece1debc8aea4820bdccb2f5df932c769'),
+    ('atlas-420', 1e-16, '0x1.5db3d742c2655p+1', '0x1.0000000000000p-54', 57, 'power',
+     'c6ea4f1261f28fcee8541aaf9108f09121491b45d865b26a247de711924ab106'),
+    ('atlas-480', 1e-16, '0x1.92888a323002cp+1', '0x1.25c1f7c79f383p-52', 244, 'polish',
+     '9302b1521e7588270195f0547b596e1260d982d74431f03e5951feea61d1cd48'),
+    ('atlas-540', 1e-16, '0x1.6c3c4f3e57785p+1', '0x1.6545001ee445ap-52', 263, 'polish',
+     '0cc457f49506702d9d0e231a591e2375b511574a3a82586062885eea3fce186b'),
+    ('atlas-600', 1e-16, '0x1.bac8958296d6ap+1', '0x1.a4e4445fa1a80p-52', 239, 'polish',
+     '9444bfc55567440af3d947620bfbac2408e2dab9dc0af6a06a20b72c52eaa3a7'),
+    ('atlas-660', 1e-16, '0x1.9c9616659ef9ep+1', '0x1.abc806678f14ap-53', 253, 'polish',
+     'a99ed6b7d408cca2d2684e6c1c9c1adcf177408b3f03c04b5c59f106e6d4456e'),
+    ('atlas-720', 1e-16, '0x1.7ccfe7374eba6p+1', '0x0.0p+0', 63, 'power',
+     '002fa463f73b79cf6b61301fa21df6705f9051f643986f4add877c0bd05b5b3f'),
+    ('atlas-780', 1e-16, '0x1.bb1391ab68bb4p+1', '0x1.7d752b761dc13p-53', 241, 'polish',
+     '72085bc0d06f1022bb6c852df329389e8c4b86cff1d19852de012e9e9f2c8cef'),
+    ('atlas-840', 1e-16, '0x1.ad4b2578f680ap+1', '0x0.0p+0', 25, 'power',
+     '6de7ab8ce9a3a1b9b6c1c3810f2dd66f66d65b762307e58e4bd2140284df6871'),
+    ('atlas-900', 1e-16, '0x1.f4c665a9c487cp+1', '0x1.b087c4d5ac921p-53', 243, 'polish',
+     'ad09b77b7f530e793088e670bbeffeb0ea4b39045dbfa6a3950db52187564ff9'),
+    ('atlas-960', 1e-16, '0x1.cc2e3c5eb32d5p+1', '0x1.6cc9d47bf15a0p-52', 241, 'polish',
+     '60b829c6d3be1f46932078da8f534a5e95ef16d11bfa271f9c9622be3b1059f7'),
+    ('atlas-1020', 1e-16, '0x1.072c12ff6ed16p+2', '0x1.04215eb4fece9p-51', 236, 'polish',
+     'af00b78b6f94ce9f8bddebb951fffc340c179332f7eded315e0bf968de62829f'),
+    ('atlas-1080', 1e-16, '0x1.f569a09eb532ap+1', '0x1.1be5f4581a8f7p-51', 217, 'polish',
+     '4d0d3e19edaa5a934e3d48cd238b4cc487f01742e02cc488be80ff712ebfa857'),
+    ('atlas-1140', 1e-16, '0x1.0df6c55bcd693p+2', '0x1.1d291e7d81e92p-51', 236, 'polish',
+     '33468ff1659ece09f5ee2d57cd0bf95928b482e53c0cb194fa11f9c01c54253e'),
+    ('atlas-1200', 1e-16, '0x1.18aee7e07347cp+2', '0x1.f1cdff96e7596p-52', 234, 'polish',
+     'f0c0683ae7f5e4861f3c90b91e6090f39f0f239da8c122c8513cfb6a0a9bace4'),
+]
+
+
+@pytest.mark.parametrize(
+    "name,tol,rho,residual,iterations,path_used,perron_sha256",
+    GOLDEN,
+    ids=[f"{case[0]}-{case[1]:g}" for case in GOLDEN],
+)
+def test_pinned_outputs(name, tol, rho, residual, iterations, path_used, perron_sha256):
+    try:
+        est, raised = spectral_radius(golden_graph(name), tol), False
+    except ConvergenceError as e:
+        est, raised = e.best, True
+    assert raised == (est.residual > tol)
+    assert est.rho.hex() == rho
+    assert est.residual.hex() == residual
+    assert est.iterations == iterations
+    assert est.path == path_used
+    assert hashlib.sha256(est.perron.tobytes()).hexdigest() == perron_sha256
+
+
+def test_polish_floor_above_tol_raises():
+    # the longdouble floor of K3 sits near 1e-18, so tol 1e-20 cannot be met
+    with pytest.raises(ConvergenceError) as err:
+        spectral_radius(complete(3), tol=1e-20)
+    best = err.value.best
+    assert best.path == "polish" and best.residual > 1e-20
+    assert abs(best.rho - 2.0) <= best.residual
 
 
 def test_strict_compare():
