@@ -157,30 +157,36 @@ class Graph:
             rows[perm[i]] = new_row
         return Graph._derived(self.n, rows)
 
+    def _reach(self, s: int) -> int:
+        """Bitmask of the vertices in the component of vertex s."""
+        comp = frontier = 1 << s
+        while frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                v = (f & -f).bit_length() - 1
+                nxt |= self._rows[v]
+                f &= f - 1
+            frontier = nxt & ~comp
+            comp |= frontier
+        return comp
+
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, by smallest vertex."""
+        full = (1 << self.n) - 1
         seen = 0
         out = []
         for s in range(self.n):
             if seen >> s & 1:
                 continue
-            comp = 1 << s
-            frontier = 1 << s
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    v = (f & -f).bit_length() - 1
-                    nxt |= self._rows[v]
-                    f &= f - 1
-                frontier = nxt & ~comp
-                comp |= frontier
+            comp = self._reach(s)
             seen |= comp
-            out.append(_bits(comp))
+            # _bits costs O(n) digits a vertex, so a full mask is listed directly
+            out.append(list(range(self.n)) if comp == full else _bits(comp))
         return out
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or self._reach(0) == (1 << self.n) - 1
 
 
 def _check_order(n: int) -> None:

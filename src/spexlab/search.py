@@ -5,8 +5,8 @@ membership (outerplanar/planar) and F-freeness are closed under edge
 deletion, so every qualifying graph is reachable through qualifying
 intermediates and violating branches can be pruned outright. Isomorph
 rejection uses a canonical form from partition refinement with
-individualization (practical for n <= 16); the automorphisms it finds let
-each parent add one edge per orbit of its non-edges.
+individualization, pruned by the automorphisms found so far (practical
+for n <= 16); they let each parent add one edge per orbit of its non-edges.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Iterator
 import numpy as np
 
 from .forbidden import ForbiddenSpec, is_free
-from .graph import Graph, empty_graph
-from .graph6 import graph6_decode, graph6_encode
+from .graph import Graph, _bits, empty_graph
+from .graph6 import graph6_decode
 from .recognition import (
     is_outerplanar,
     is_planar,
@@ -135,6 +135,8 @@ def _refine(
         cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
         for v, c in enumerate(colors):
             cells[c].append(v)
+        if len(cells) == n:
+            return colors, cells  # discrete: nothing left to split
         weight = [1 << 4 * (n - 1 - c) for c in colors]
         new = [0] * n
         base = 0
@@ -149,8 +151,8 @@ def _refine(
             for v, s in zip(cell, sigs):
                 new[v] = rank[s]
             base += len(rank)
-        if new == colors:
-            return colors, cells
+        if base == len(cells):
+            return colors, cells  # no cell split
         colors = new
 
 
@@ -171,49 +173,79 @@ def _homogeneous(rows: tuple[int, ...], cell: list[int]) -> bool:
     return inside == 0 or inside == k * (k - 1)
 
 
+def _orbit(mask: int, gens: list[tuple[int, ...]]) -> int:
+    """Bitmask of the orbit of the vertex set ``mask`` under ``gens``."""
+    todo = mask
+    while todo:
+        v = (todo & -todo).bit_length() - 1
+        todo &= todo - 1
+        for s in gens:
+            if not mask >> s[v] & 1:
+                mask |= 1 << s[v]
+                todo |= 1 << s[v]
+    return mask
+
+
+def _leaf_key(nbrs: list[list[int]], perm: list[int]) -> tuple[int, list[int]]:
+    """Upper triangle under the labelling v -> perm[v], read column by
+    column (the graph6 bit order) MSB first, and the inverse labelling."""
+    n = len(perm)
+    inv = [0] * n
+    for v, c in enumerate(perm):
+        inv[c] = v
+    key = 0
+    for j in range(1, n):
+        col = 0
+        for u in nbrs[inv[j]]:
+            i = perm[u]
+            if i < j:
+                col |= 1 << (j - 1 - i)
+        key = key << j | col
+    return key, inv
+
+
+def _key_graph6(n: int, key: int) -> bytes:
+    """graph6 of an n-vertex leaf key (n <= 62): the key padded to whole
+    6-bit groups, each plus 63, after the header byte 63 + n."""
+    bits = n * (n - 1) // 2
+    groups = -(-bits // 6)
+    body = key << 6 * groups - bits
+    return bytes([63 + n, *(63 + (body >> 6 * k & 63) for k in range(groups)[::-1])])
+
+
 def _canon(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
     """Canonical form of ``g`` and automorphisms of ``g`` met on the way,
     each as a tuple mapping vertex v to its image.
 
     Every leaf of the individualization tree is a labelling; the form is
-    the graph6 of the leaf whose graph6 bytes are smallest. A leaf is
-    compared by an integer key: the upper triangle under its labelling,
-    read column by column (the graph6 bit order), MSB first. For a fixed n
-    these keys order the leaves as their graph6 bytes do, so only the
-    winning leaf is relabeled and encoded. Two leaves with equal keys give
-    the same labeled graph, so one labelling followed by the inverse of the
+    the graph6 of the leaf whose graph6 bytes are smallest. Leaves compare
+    by ``_leaf_key``, which holds the graph6 body bits, so the form is
+    written from the smallest key. Two leaves with equal keys give the
+    same labeled graph, so one labelling followed by the inverse of the
     other is an automorphism; a homogeneous cell contributes the
-    transpositions of its members.
+    transpositions of its members. A child whose vertex lies in the orbit
+    of an explored sibling under the automorphisms found so far that fix
+    the node's individualized vertices is skipped (McKay, J. Algorithms
+    26, 1998): its subtree is the sibling's image and holds the same keys.
     """
     if g.n > 16:
         raise ValueError("canonical_form is limited to n <= 16")
     n = g.n
     rows = g.rows()
-    nbrs = [list(g.neighbors(v)) for v in range(n)]
+    nbrs = [_bits(r) for r in rows]
     gens: list[tuple[int, ...]] = []
     best_key = -1
-    best_perm: list[int] = []
     best_inv: list[int] = []
 
     def leaf(perm: list[int]) -> None:
-        nonlocal best_key, best_perm, best_inv
-        inv = [0] * n
-        for v, c in enumerate(perm):
-            inv[c] = v
-        key = 0
-        for j in range(1, n):
-            col = 0
-            for u in nbrs[inv[j]]:
-                i = perm[u]
-                if i < j:
-                    col |= 1 << (j - 1 - i)
-            key = key << j | col
+        nonlocal best_key, best_inv
+        key, inv = _leaf_key(nbrs, perm)
         if best_key < 0 or key < best_key:
-            best_key, best_perm, best_inv = key, perm, inv
+            best_key, best_inv = key, inv
         elif key == best_key:
             gens.append(tuple(best_inv[c] for c in perm))
 
-    def search(colors: list[int]) -> None:
+    def search(colors: list[int], fixed: list[int]) -> None:
         colors, cells = _refine(nbrs, colors)
         target = next((cell for cell in cells if len(cell) > 1), None)
         if target is None:
@@ -226,16 +258,22 @@ def _canon(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
                 gens.append(tuple(swap))
             target = target[:1]
         c = colors[target[0]]
+        explored = 0
         for v in target:
+            if explored:
+                stabiliser = [s for s in gens if all(s[u] == u for u in fixed)]
+                explored = _orbit(explored, stabiliser)
+                if explored >> v & 1:
+                    continue
+            explored |= 1 << v
             branch = [x + (x >= c) for x in colors]
             branch[v] = c  # individualize v just below the rest of its cell
-            search(branch)
+            search(branch, fixed + [v])
 
     degrees = [len(nb) for nb in nbrs]
     rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
-    search([rank[d] for d in degrees])  # what refining all-equal colors gives
-    form = graph6_encode(g.relabel(best_perm)).encode("ascii")
-    return form, list(dict.fromkeys(gens))
+    search([rank[d] for d in degrees], [])  # what refining all-equal colors gives
+    return _key_graph6(n, best_key), list(dict.fromkeys(gens))
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -306,7 +344,9 @@ def _enumerate_levels(
     its orbit would give an isomorphic child earlier), so the stored
     representatives, and the counters below, are those of adding every
     non-edge: ``children`` counts all non-edges of the qualifying parents
-    and ``duplicate`` all of them that give no new class.
+    and ``duplicate`` all of them that give no new class. A child whose
+    rows another parent of the level already produced is such a duplicate
+    and is not canonicalized again.
     """
     quick, full = _class_checks(klass)
     root = empty_graph(n)
@@ -316,12 +356,16 @@ def _enumerate_levels(
     yield form, root
     while level:
         nxt: list[tuple[bytes, Graph, list[tuple[int, ...]]]] = []
+        labelled: set[Graph] = set()
         for _, g, gens in level:
             free = n * (n - 1) // 2 - g.edge_count()
             stats["children"] += free
             stats["duplicate"] += free
             for u, v in _orbit_minima(g, gens):
                 child = g.add_edge(u, v)
+                if child in labelled:
+                    continue
+                labelled.add(child)
                 form, child_gens = _canon(child)
                 if form in seen:
                     continue

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import graphs
+from helpers import graphs, to_nx
 from spexlab.graph import (
     MAX_VERTICES,
     Graph,
@@ -102,6 +103,14 @@ def test_disjoint_union_and_components():
     assert not g.is_connected()
     assert complete(3).is_connected()
     assert empty_graph(0).is_connected() and empty_graph(1).is_connected()
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=80, deadline=None)
+def test_components_and_is_connected_match_networkx(g):
+    G = to_nx(g)
+    assert g.components() == sorted(sorted(c) for c in nx.connected_components(G))
+    assert g.is_connected() == (g.n <= 1 or nx.is_connected(G))
 
 
 def test_induced_subgraph():

@@ -13,17 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import atlas_classes, dense_rho, graphs, random_graph, to_nx
+from spexlab import search
 from spexlab.forbidden import ForbiddenSpec
 from spexlab.graph import (
     complete,
     complete_bipartite,
     cycle,
+    disjoint_union,
     from_edges,
     join,
     path,
     star,
 )
-from spexlab.graph6 import graph6_decode
+from spexlab.graph6 import graph6_decode, graph6_encode
 from spexlab.search import (
     CHECKPOINT_MAGIC,
     TIE_WINDOW,
@@ -31,7 +33,11 @@ from spexlab.search import (
     SearchConfig,
     _best_entry,
     _canon,
+    _homogeneous,
+    _key_graph6,
+    _leaf_key,
     _orbit_minima,
+    _refine,
     canonical_form,
     canonical_graph,
     enumerate_class,
@@ -453,3 +459,140 @@ def test_enumeration_counts_match_atlas(n):
             )
             got = sum(1 for _ in enumerate_class(n, klass, connected_only=connected))
             assert got == want, (klass, connected)
+
+
+# ---------------------------------------------------------------------------
+# the cost of canonical labelling: graph6 from the key, pruned trees, memo
+
+# [DERIVED] SHA-256 of repr(g.rows()) + "\n" over the enumerate_class
+# representatives for n = 1..8, computed with the unpruned individualization
+# tree that relabeled the winning leaf and canonicalized every child;
+# these labellings are what spectral_radius scores.
+REPRESENTATIVES_SHA256 = [
+    (
+        {"klass": "outerplanar", "connected_only": False},
+        "10e5b6f5ddda98553add197f36148638104ff4b08a623b6d8e3e0de048940c9d",
+    ),
+    (
+        {"klass": "planar", "forbidden": ForbiddenSpec.cycle(3)},
+        "39be6498f554a03fc4eff9f6ac48d79e2519d13da9065445624d0a1052e9ba71",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs, digest", REPRESENTATIVES_SHA256, ids=["outerplanar-all", "planar-C3"]
+)
+def test_representatives_pinned(kwargs, digest):
+    data = b"".join(
+        repr(g.rows()).encode() + b"\n"
+        for n in range(1, 9)
+        for g in enumerate_class(n, **kwargs)
+    )
+    assert _sha256(data) == digest
+
+
+def _graph6_via_key(g, perm) -> bytes:
+    nbrs = [list(g.neighbors(v)) for v in range(g.n)]
+    key, inv = _leaf_key(nbrs, perm)
+    assert [perm[v] for v in inv] == list(range(g.n))
+    return _key_graph6(g.n, key)
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_graph6_from_leaf_key_matches_encoder(n):
+    """n = 0, 1 have an empty body; n = 4, 9, 16 fill whole 6-bit groups."""
+    rnd = random.Random(n)
+    for p in (0.0, 0.3, 0.7, 1.0):
+        g = random_graph(rnd, n, p)
+        for _ in range(5):
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            assert _graph6_via_key(g, perm) == graph6_encode(g.relabel(perm)).encode()
+
+
+def test_graph6_from_leaf_key_on_atlas():
+    rnd = random.Random(7)
+    for g in _atlas_graphs():
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        for p in (list(range(g.n)), perm):
+            assert _graph6_via_key(g, p) == graph6_encode(g.relabel(p)).encode()
+
+
+def _unpruned_leaves(g) -> int:
+    """Leaves of the individualization tree that branches on every vertex
+    of the target cell (one branch for a homogeneous cell)."""
+    nbrs = [list(g.neighbors(v)) for v in range(g.n)]
+
+    def walk(colors):
+        colors, cells = _refine(nbrs, colors)
+        target = next((cell for cell in cells if len(cell) > 1), None)
+        if target is None:
+            return 1
+        if _homogeneous(g.rows(), target):
+            target = target[:1]
+        c = colors[target[0]]
+        total = 0
+        for v in target:
+            branch = [x + (x >= c) for x in colors]
+            branch[v] = c
+            total += walk(branch)
+        return total
+
+    degrees = [g.degree(v) for v in range(g.n)]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    return walk([rank[d] for d in degrees])
+
+
+def _count_calls(monkeypatch, name: str) -> dict[str, int]:
+    calls = {name: 0}
+    real = getattr(search, name)
+
+    def spy(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(search, name, spy)
+    return calls
+
+
+@pytest.fixture
+def pruned_leaves(monkeypatch):
+    """Leaves that _canon explores on a graph, counted by its key calls."""
+    calls = _count_calls(monkeypatch, "_leaf_key")
+
+    def count(g) -> int:
+        calls["_leaf_key"] = 0
+        _canon(g)
+        return calls["_leaf_key"]
+
+    return count
+
+
+def test_pruning_explores_no_more_leaves_on_atlas(pruned_leaves):
+    fewer = 0
+    for g in _atlas_graphs():
+        pruned, full = pruned_leaves(g), _unpruned_leaves(g)
+        assert 1 <= pruned <= full, g.rows()
+        fewer += pruned < full
+    assert fewer > 0
+
+
+def test_pruning_explores_fewer_leaves_on_symmetric_graphs(pruned_leaves):
+    for g in (cycle(8), disjoint_union([complete(4), complete(4)])):
+        assert pruned_leaves(g) < _unpruned_leaves(g), g.rows()
+    # K_{1,7}: its leaves form a homogeneous cell, so the unpruned tree
+    # already has a single leaf and pruning can only keep it
+    assert pruned_leaves(star(8)) == _unpruned_leaves(star(8)) == 1
+
+
+def test_exhaustive_search_canonicalizes_less(monkeypatch):
+    """Work counts, no timing. The unpruned tree without the labelled-child
+    memo made 16,552 _canon and 41,569 _refine calls on this search; the
+    memo alone brings _canon to 14,068."""
+    canon = _count_calls(monkeypatch, "_canon")
+    refine = _count_calls(monkeypatch, "_refine")
+    exhaustive_spex(SearchConfig(4, 8))
+    assert canon["_canon"] < 16_552
+    assert refine["_refine"] < 41_569
