@@ -4,9 +4,9 @@ Enumeration grows graphs edge by edge from the edgeless graph. Both class
 membership (outerplanar/planar) and F-freeness are closed under edge
 deletion, so every qualifying graph is reachable through qualifying
 intermediates and violating branches can be pruned outright. Isomorph
-rejection uses a canonical form from partition refinement with
-individualization, pruned by the automorphisms found so far (practical
-for n <= 16); they let each parent add one edge per orbit of its non-edges.
+rejection uses a canonical form from partition refinement by the cells
+that split, with individualization, pruned by the automorphisms found so
+far (n <= 16); they let each parent add one edge per orbit of its non-edges.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ class SearchConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 1 <= self.n_min <= self.n_max:
             raise ValueError(f"bad n range [{self.n_min}, {self.n_max}]")
+        if self.exhaustive_cap < 1:
+            raise ValueError(f"exhaustive_cap must be >= 1, got {self.exhaustive_cap}")
 
     def key_dict(self) -> dict:
         """Identity of the search problem (excludes checkpoint)."""
@@ -116,44 +118,58 @@ class SearchReport:
 
 
 def _refine(
-    nbrs: list[list[int]], colors: list[int]
-) -> tuple[list[int], list[list[int]]]:
-    """Equitable refinement of dense colors 0..k-1 whose cells each hold
-    vertices of one degree: recolor by (color, sorted neighbor colors)
-    until stable; returns the colors and the cells in color order.
+    rows: tuple[int, ...], cells: list[list[int]], splitters: list[int]
+) -> list[list[int]]:
+    """Equitable refinement of ordered cells of one-degree vertices, each
+    in ascending order: recolor by (color, sorted neighbor colors) until
+    stable; returns the cells in color order. ``splitters`` are the masks
+    of the cells that split last, in color order, less the last piece of
+    each: the degree cells at the root, [v] after individualizing v.
 
-    A new color is the rank of the vertex's signature among all distinct
-    signatures, so the result is isomorphism-invariant. Signatures sort by
-    color first, so a vertex alone in its cell needs no neighbor colors.
-    Inside a cell the sorted tuples have one length, so they order as
-    their color-count vectors in reverse (more neighbors of the smallest
-    differing color is the smaller tuple); each count vector is packed
-    into one integer, 4 bits a color, as counts stay below n <= 16.
+    Inside a cell the sorted tuples order as the color-count vectors in
+    reverse. After a round a cell has equal counts into each cell before
+    it, so only the counts into the pieces of split cells, in color order,
+    can order it next (McKay, Congr. Numer. 30, 1981): ``(row &
+    mask).bit_count()``, packed 4 bits each as counts stay below n <= 16.
+    The counts into one cell's pieces sum to the count into the cell, so
+    its last piece orders nothing.
     """
-    n = len(colors)
-    while True:
-        cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
-        for v, c in enumerate(colors):
-            cells[c].append(v)
-        if len(cells) == n:
-            return colors, cells  # discrete: nothing left to split
-        weight = [1 << 4 * (n - 1 - c) for c in colors]
-        new = [0] * n
-        base = 0
+    n = len(rows)
+    while splitters and len(cells) < n:
+        union = sum(splitters)  # the splitters are disjoint
+        out: list[list[int]] = []
+        split: list[int] = []
         for cell in cells:
-            if len(cell) == 1:
-                new[cell[0]] = base
-                base += 1
-                continue
-            sigs = [sum(map(weight.__getitem__, nbrs[v])) for v in cell]
-            distinct = sorted(set(sigs), reverse=True)
-            rank = {s: i for i, s in enumerate(distinct, base)}
-            for v, s in zip(cell, sigs):
-                new[v] = rank[s]
-            base += len(rank)
-        if base == len(cells):
-            return colors, cells  # no cell split
-        colors = new
+            if len(cell) == 2:  # most cells that split, without sorting
+                a, b = cell
+                if rows[a] & union != rows[b] & union:
+                    sa = sb = 0
+                    for m in splitters:
+                        sa = sa << 4 | (rows[a] & m).bit_count()
+                        sb = sb << 4 | (rows[b] & m).bit_count()
+                    if sa != sb:
+                        if sa < sb:
+                            a, b = b, a
+                        out += [[a], [b]]
+                        split.append(1 << a)
+                        continue
+            elif len(cell) > 2:
+                met = [rows[v] & union for v in cell]
+                if met.count(met[0]) < len(met):
+                    sigs = []
+                    for r in met:
+                        s = 0
+                        for m in splitters:
+                            s = s << 4 | (r & m).bit_count()
+                        sigs.append(s)
+                    order = sorted(set(sigs), reverse=True)
+                    pieces = [[v for v, t in zip(cell, sigs) if t == s] for s in order]
+                    out += pieces
+                    split += [sum(1 << v for v in p) for p in pieces[:-1]]
+                    continue
+            out.append(cell)
+        cells, splitters = out, split
+    return cells
 
 
 def _homogeneous(rows: tuple[int, ...], cell: list[int]) -> bool:
@@ -213,6 +229,11 @@ def _key_graph6(n: int, key: int) -> bytes:
     return bytes([63 + n, *(63 + (body >> 6 * k & 63) for k in range(groups)[::-1])])
 
 
+def _check_canon_n(n: int) -> None:
+    if n > 16:
+        raise ValueError("canonical_form is limited to n <= 16")
+
+
 def _canon(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
     """Canonical form of ``g`` and automorphisms of ``g`` met on the way,
     each as a tuple mapping vertex v to its image.
@@ -227,9 +248,10 @@ def _canon(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
     of an explored sibling under the automorphisms found so far that fix
     the node's individualized vertices is skipped (McKay, J. Algorithms
     26, 1998): its subtree is the sibling's image and holds the same keys.
+    Each node refines the cells it is given by the cells that split and
+    passes its stable cells down; discrete cells list a leaf's labelling.
     """
-    if g.n > 16:
-        raise ValueError("canonical_form is limited to n <= 16")
+    _check_canon_n(g.n)
     n = g.n
     rows = g.rows()
     nbrs = [_bits(r) for r in rows]
@@ -245,19 +267,24 @@ def _canon(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
         elif key == best_key:
             gens.append(tuple(best_inv[c] for c in perm))
 
-    def search(colors: list[int], fixed: list[int]) -> None:
-        colors, cells = _refine(nbrs, colors)
-        target = next((cell for cell in cells if len(cell) > 1), None)
-        if target is None:
-            leaf(colors)  # colors are a permutation once all cells split
+    def search(cells: list[list[int]], splitters: list[int], fixed: list[int]) -> None:
+        cells = _refine(rows, cells, splitters)
+        for i, cell in enumerate(cells):
+            if len(cell) > 1:
+                break
+        else:
+            perm = [0] * n
+            for c, (v,) in enumerate(cells):
+                perm[v] = c
+            leaf(perm)
             return
+        target = cell
         if _homogeneous(rows, target):
             for w in target[1:]:
                 swap = list(range(n))
                 swap[target[0]], swap[w] = w, target[0]
                 gens.append(tuple(swap))
             target = target[:1]
-        c = colors[target[0]]
         explored = 0
         for v in target:
             if explored:
@@ -266,13 +293,16 @@ def _canon(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
                 if explored >> v & 1:
                     continue
             explored |= 1 << v
-            branch = [x + (x >= c) for x in colors]
-            branch[v] = c  # individualize v just below the rest of its cell
-            search(branch, fixed + [v])
+            # individualize v just below the rest of its cell; the cells
+            # were stable, so only the counts into [v] can differ
+            rest = [w for w in cell if w != v]
+            search(cells[:i] + [[v], rest] + cells[i + 1 :], [1 << v], fixed + [v])
 
-    degrees = [len(nb) for nb in nbrs]
-    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
-    search([rank[d] for d in degrees], [])  # what refining all-equal colors gives
+    by_degree: dict[int, list[int]] = {}
+    for v, nb in enumerate(nbrs):
+        by_degree.setdefault(len(nb), []).append(v)
+    cells = [by_degree[d] for d in sorted(by_degree)]  # what refining one cell gives
+    search(cells, [sum(1 << v for v in cell) for cell in cells[:-1]], [])
     return _key_graph6(n, best_key), list(dict.fromkeys(gens))
 
 
@@ -555,6 +585,7 @@ def exhaustive_spex(config: SearchConfig) -> SearchReport:
     ties within 1e-9 reported as canonical graph6 certificates."""
     if config.mode != "exhaustive":
         raise ValueError("config.mode must be 'exhaustive'")
+    _check_canon_n(config.n_max)
     if config.n_max > config.exhaustive_cap:
         raise CapExceededError(
             f"n_max={config.n_max} exceeds exhaustive_cap={config.exhaustive_cap};"
@@ -647,6 +678,7 @@ def local_search_spex(
     shuffle the climb with a few random qualifying moves first."""
     if config.mode != "local":
         raise ValueError("config.mode must be 'local'")
+    _check_canon_n(start.n)
     if not _qualifies(start, config):
         raise ValueError(
             "start graph must satisfy the class, freeness, and connectivity"

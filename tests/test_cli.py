@@ -16,8 +16,10 @@ import pytest
 import spexlab
 from helpers import to_nx
 from spexlab.cli import main
+from spexlab.forbidden import ForbiddenSpec
 from spexlab.graph import complete, join, path
 from spexlab.graph6 import graph6_decode, graph6_encode
+from spexlab.search import SearchConfig, exhaustive_spex
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -109,6 +111,40 @@ def test_search_json_schema(capsys):
     payload = json.loads(out)
     validate(payload, "search-report.schema.json")
     assert [e["n"] for e in payload["entries"]] == [4, 5]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=jsonschema.ValidationError,
+    reason="a level with no qualifying graph reports certificates: [] and"
+    " best_rho 0.0, but the schema asks for at least one certificate",
+)
+def test_search_report_with_an_empty_level_fits_schema():
+    report = exhaustive_spex(SearchConfig(2, 3, forbidden=ForbiddenSpec.parse("M1")))
+    assert [e["candidates"] for e in report.entries] == [0, 0]
+    validate(json.loads(report.to_json()), "search-report.schema.json")
+
+
+def test_search_rejects_cap_below_one(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "search", "--mode", "local", "--start-g6", "Cr",
+        "--nmin", "4", "--nmax", "4", "--cap", "0", "--format", "json",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: exhaustive_cap must be >= 1, got 0\n"
+
+
+def test_search_refuses_n_above_16_before_enumerating(capsys, monkeypatch):
+    from spexlab import search
+
+    entered = []
+    monkeypatch.setattr(search, "_enumerate", lambda *args: entered.append(args))
+    code, out, err = run_cli(
+        capsys, "search", "--nmin", "16", "--nmax", "17", "--cap", "20"
+    )
+    assert (code, out, entered) == (1, "", [])
+    assert err == "error: canonical_form is limited to n <= 16\n"
 
 
 def test_search_csv_and_g6(capsys):

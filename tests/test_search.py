@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import struct
@@ -292,6 +293,8 @@ def test_local_search_validation():
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(n_min=5, n_max=4)
+    with pytest.raises(ValueError, match="exhaustive_cap must be >= 1, got 0"):
+        SearchConfig(n_min=4, n_max=4, mode="local", exhaustive_cap=0)
     with pytest.raises(ValueError):
         SearchConfig(n_min=1, n_max=4, klass="weird")
     with pytest.raises(ValueError):
@@ -520,29 +523,244 @@ def test_graph6_from_leaf_key_on_atlas():
             assert _graph6_via_key(g, p) == graph6_encode(g.relabel(p)).encode()
 
 
+def reference_refine(
+    nbrs: list[list[int]], colors: list[int]
+) -> tuple[list[int], list[list[int]]]:
+    """Equitable refinement of dense colors 0..k-1 whose cells each hold
+    vertices of one degree: recolor by (color, sorted neighbor colors)
+    until stable; returns the colors and the cells in color order.
+
+    A new color is the rank of the vertex's signature among all distinct
+    signatures, so the result is isomorphism-invariant. Signatures sort by
+    color first, so a vertex alone in its cell needs no neighbor colors.
+    Inside a cell the sorted tuples have one length, so they order as
+    their color-count vectors in reverse (more neighbors of the smallest
+    differing color is the smaller tuple); each count vector is packed
+    into one integer, 4 bits a color, as counts stay below n <= 16.
+    """
+    n = len(colors)
+    while True:
+        cells: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        if len(cells) == n:
+            return colors, cells  # discrete: nothing left to split
+        weight = [1 << 4 * (n - 1 - c) for c in colors]
+        new = [0] * n
+        base = 0
+        for cell in cells:
+            if len(cell) == 1:
+                new[cell[0]] = base
+                base += 1
+                continue
+            sigs = [sum(map(weight.__getitem__, nbrs[v])) for v in cell]
+            distinct = sorted(set(sigs), reverse=True)
+            rank = {s: i for i, s in enumerate(distinct, base)}
+            for v, s in zip(cell, sigs):
+                new[v] = rank[s]
+            base += len(rank)
+        if base == len(cells):
+            return colors, cells  # no cell split
+        colors = new
+
+
+def _degree_colors(nbrs: list[list[int]]) -> list[int]:
+    degrees = [len(nb) for nb in nbrs]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    return [rank[d] for d in degrees]
+
+
+def _individualize(colors: list[int], v: int) -> list[int]:
+    """v just below the rest of its cell, the colors above shifted up."""
+    c = colors[v]
+    branch = [x + (x >= c) for x in colors]
+    branch[v] = c
+    return branch
+
+
+def _mask(cell: list[int]) -> int:
+    return sum(1 << v for v in cell)
+
+
 def _unpruned_leaves(g) -> int:
     """Leaves of the individualization tree that branches on every vertex
     of the target cell (one branch for a homogeneous cell)."""
     nbrs = [list(g.neighbors(v)) for v in range(g.n)]
 
     def walk(colors):
-        colors, cells = _refine(nbrs, colors)
+        colors, cells = reference_refine(nbrs, colors)
         target = next((cell for cell in cells if len(cell) > 1), None)
         if target is None:
             return 1
         if _homogeneous(g.rows(), target):
             target = target[:1]
-        c = colors[target[0]]
-        total = 0
-        for v in target:
-            branch = [x + (x >= c) for x in colors]
-            branch[v] = c
-            total += walk(branch)
-        return total
+        return sum(walk(_individualize(colors, v)) for v in target)
 
-    degrees = [g.degree(v) for v in range(g.n)]
-    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
-    return walk([rank[d] for d in degrees])
+    return walk(_degree_colors(nbrs))
+
+
+def _circulants():
+    """Every circulant C_n(S) with n <= 16, one per jump set S."""
+    for n in range(1, 17):
+        jumps = range(1, n // 2 + 1)
+        for k in range(len(jumps) + 1):
+            for s in itertools.combinations(jumps, k):
+                yield from_edges(n, nx.circulant_graph(n, s).edges())
+
+
+def _random_graphs(count: int = 300):
+    rnd = random.Random(16)
+    return [random_graph(rnd, rnd.randint(9, 16), rnd.random()) for _ in range(count)]
+
+
+def _from_networkx(G):
+    G = nx.convert_node_labels_to_integers(nx.Graph(G))
+    return from_edges(G.number_of_nodes(), G.edges())
+
+
+def _vertex_transitive_graphs():
+    """Petersen, Q4, Heawood, Moebius-Kantor, Paley(13), K4xK4, C4xC4 and
+    K_{4,4,4}."""
+    k4, c4 = nx.complete_graph(4), nx.cycle_graph(4)
+    named = [
+        nx.petersen_graph(),
+        nx.hypercube_graph(4),
+        nx.heawood_graph(),
+        nx.LCF_graph(16, [5, -5], 8),
+        nx.paley_graph(13).to_undirected(),
+        nx.cartesian_product(k4, k4),
+        nx.cartesian_product(c4, c4),
+        nx.complete_multipartite_graph(4, 4, 4),
+    ]
+    return [_from_networkx(G) for G in named]
+
+
+FAMILIES = {
+    "atlas": _atlas_graphs,
+    "random-9..16": _random_graphs,
+    "circulants": lambda: list(_circulants()),
+    "vertex-transitive": _vertex_transitive_graphs,
+}
+
+
+@pytest.mark.parametrize("family", ["atlas", "random-9..16", "circulants"])
+def test_refine_by_split_cells_matches_reference(family):
+    """_refine, refining by the cells that split, gives the ordered cells
+    of the round-based reference at the degree partition and after
+    individualizing each vertex of its first non-singleton cell; adding
+    the last piece of each split cell as a splitter changes nothing."""
+    for g in FAMILIES[family]():
+        rows = g.rows()
+        nbrs = [list(g.neighbors(v)) for v in range(g.n)]
+        degree = _degree_colors(nbrs)
+        colors, cells = reference_refine(nbrs, degree)
+        start = [[v for v in range(g.n) if degree[v] == k] for k in sorted(set(degree))]
+        masks = [_mask(cell) for cell in start]
+        assert _refine(rows, start, masks[:-1]) == cells, rows
+        assert _refine(rows, start, masks) == cells, rows
+        i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if i is None:
+            continue
+        for v in cells[i]:
+            want = reference_refine(nbrs, _individualize(colors, v))[1]
+            rest = [w for w in cells[i] if w != v]
+            split = cells[:i] + [[v], rest] + cells[i + 1 :]
+            assert _refine(rows, split, [1 << v]) == want, (rows, v)
+            assert _refine(rows, split, [1 << v, _mask(rest)]) == want, (rows, v)
+
+
+def _colour_automorphism(rows, a, b) -> tuple[int, ...] | None:
+    """An automorphism taking every vertex of colour c under ``a`` to a
+    vertex of colour c under ``b``, by plain backtracking over vertices
+    0, 1, ...; None if there is none."""
+    n = len(rows)
+    if sorted(a) != sorted(b):
+        return None
+    image = [0] * n
+
+    def extend(u: int, used: int) -> bool:
+        if u == n:
+            return True
+        want = 0
+        for x in range(u):
+            if rows[u] >> x & 1:
+                want |= 1 << image[x]
+        for w in range(n):
+            if b[w] == a[u] and not used >> w & 1 and rows[w] & used == want:
+                image[u] = w
+                if extend(u + 1, used | 1 << w):
+                    return True
+        return False
+
+    return tuple(image) if extend(0, 0) else None
+
+
+def _vertex_orbit(vertices, perms) -> set[int]:
+    """Closure of a vertex set under the group generated by perms."""
+    orbit, todo = set(vertices), list(vertices)
+    while todo:
+        v = todo.pop()
+        for s in perms:
+            if s[v] not in orbit:
+                orbit.add(s[v])
+                todo.append(s[v])
+    return orbit
+
+
+def reference_canon(g) -> bytes:
+    """graph6 of the smallest _leaf_key over the unpruned tree built with
+    reference_refine (one branch for a homogeneous cell).
+
+    An automorphism that maps one child's refined colouring onto a
+    sibling's (``_colour_automorphism``, which uses no generator of
+    ``_canon``) fixes the node's cells, so it maps the one subtree onto
+    the other and their leaves have the same keys: only one is walked,
+    and the images of walked children under such automorphisms are
+    skipped. The full tree is out of reach: for K_{2,...,2} on 16
+    vertices it has 16 * 14 * ... * 4, over five million, leaves.
+    """
+    n = g.n
+    rows = g.rows()
+    nbrs = [list(g.neighbors(v)) for v in range(n)]
+    best = -1
+
+    def walk(colors):
+        nonlocal best
+        colors, cells = reference_refine(nbrs, colors)
+        target = next((cell for cell in cells if len(cell) > 1), None)
+        if target is None:
+            key = _leaf_key(nbrs, colors)[0]
+            best = key if best < 0 else min(best, key)
+            return
+        if _homogeneous(rows, target):
+            target = target[:1]
+        walked: dict[int, list[int]] = {}
+        autos: list[tuple[int, ...]] = []
+        for v in target:
+            if v in _vertex_orbit(walked, autos):
+                continue
+            branch = _individualize(colors, v)
+            refined = reference_refine(nbrs, branch)[0]
+            for seen in walked.values():
+                s = _colour_automorphism(rows, seen, refined)
+                if s is not None:
+                    autos.append(s)
+                    break
+            else:
+                walked[v] = refined
+                walk(branch)
+
+    walk(_degree_colors(nbrs))
+    return _key_graph6(n, best)
+
+
+@pytest.mark.parametrize("family", ["atlas", "circulants", "vertex-transitive"])
+def test_pruned_form_is_unpruned_minimum(family):
+    """_canon prunes with the automorphisms found so far that fix the
+    individualized path; its form must be the smallest key of the whole
+    tree."""
+    for g in FAMILIES[family]():
+        assert _canon(g)[0] == reference_canon(g), g.rows()
 
 
 def _count_calls(monkeypatch, name: str) -> dict[str, int]:
@@ -596,3 +814,16 @@ def test_exhaustive_search_canonicalizes_less(monkeypatch):
     exhaustive_spex(SearchConfig(4, 8))
     assert canon["_canon"] < 16_552
     assert refine["_refine"] < 41_569
+
+
+def test_searches_refuse_n_above_16_before_any_work(monkeypatch):
+    """The canonical form stops at n = 16, so a search that needs it for
+    n = 17 must fail before it enumerates n = 16 or climbs from a start."""
+    entered = _count_calls(monkeypatch, "_enumerate")
+    with pytest.raises(ValueError, match="limited to n <= 16"):
+        exhaustive_spex(SearchConfig(16, 17, exhaustive_cap=20))
+    assert entered["_enumerate"] == 0
+    checked = _count_calls(monkeypatch, "_qualifies")
+    with pytest.raises(ValueError, match="limited to n <= 16"):
+        local_search_spex(SearchConfig(17, 17, mode="local"), path(17))
+    assert checked["_qualifies"] == 0
