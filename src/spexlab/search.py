@@ -121,51 +121,29 @@ def _refine(
     rows: tuple[int, ...], cells: list[list[int]], splitters: list[int]
 ) -> list[list[int]]:
     """Equitable refinement of ordered cells of one-degree vertices, each
-    in ascending order: recolor by (color, sorted neighbor colors) until
-    stable; returns the cells in color order. ``splitters`` are the masks
-    of the cells that split last, in color order, less the last piece of
-    each: the degree cells at the root, [v] after individualizing v.
-
-    Inside a cell the sorted tuples order as the color-count vectors in
-    reverse. After a round a cell has equal counts into each cell before
-    it, so only the counts into the pieces of split cells, in color order,
-    can order it next (McKay, Congr. Numer. 30, 1981): ``(row &
-    mask).bit_count()``, packed 4 bits each as counts stay below n <= 16.
-    The counts into one cell's pieces sum to the count into the cell, so
-    its last piece orders nothing.
+    ascending, by the cells that split: the cells of recoloring by (color,
+    sorted neighbor colors) until stable, in color order. ``splitters``
+    masks the new pieces in color order less each cell's last, whose
+    counts follow from the rest: all degree cells but the last at the root,
+    [v] after individualizing v. Only counts into new pieces order a cell
+    (it has equal counts into the cells before; McKay, Congr. Numer. 30,
+    1981); packed 4 bits each as n <= 16, they sort it descending.
     """
-    n = len(rows)
-    while splitters and len(cells) < n:
-        union = sum(splitters)  # the splitters are disjoint
+    while splitters and len(cells) < len(rows):
         out: list[list[int]] = []
         split: list[int] = []
         for cell in cells:
-            if len(cell) == 2:  # most cells that split, without sorting
-                a, b = cell
-                if rows[a] & union != rows[b] & union:
-                    sa = sb = 0
+            if len(cell) > 1:
+                groups: dict[int, list[int]] = {}
+                for v in cell:
+                    s = 0
                     for m in splitters:
-                        sa = sa << 4 | (rows[a] & m).bit_count()
-                        sb = sb << 4 | (rows[b] & m).bit_count()
-                    if sa != sb:
-                        if sa < sb:
-                            a, b = b, a
-                        out += [[a], [b]]
-                        split.append(1 << a)
-                        continue
-            elif len(cell) > 2:
-                met = [rows[v] & union for v in cell]
-                if met.count(met[0]) < len(met):
-                    sigs = []
-                    for r in met:
-                        s = 0
-                        for m in splitters:
-                            s = s << 4 | (r & m).bit_count()
-                        sigs.append(s)
-                    order = sorted(set(sigs), reverse=True)
-                    pieces = [[v for v, t in zip(cell, sigs) if t == s] for s in order]
+                        s = s << 4 | (rows[v] & m).bit_count()
+                    groups.setdefault(s, []).append(v)
+                if len(groups) > 1:
+                    pieces = [groups[s] for s in sorted(groups, reverse=True)]
                     out += pieces
-                    split += [sum(1 << v for v in p) for p in pieces[:-1]]
+                    split += [sum([1 << v for v in p]) for p in pieces[:-1]]
                     continue
             out.append(cell)
         cells, splitters = out, split
@@ -176,17 +154,14 @@ def _homogeneous(rows: tuple[int, ...], cell: list[int]) -> bool:
     """True when every permutation of the cell is an automorphism (same
     neighbors outside the cell, and the cell induces a clique or an
     independent set); then one individualization branch suffices."""
-    members = 0
-    for v in cell:
-        members |= 1 << v
+    members = sum(1 << v for v in cell)
     outside = rows[cell[0]] & ~members
     inside = 0
     for v in cell:
         if rows[v] & ~members != outside:
             return False
         inside += (rows[v] & members).bit_count()
-    k = len(cell)
-    return inside == 0 or inside == k * (k - 1)
+    return inside == 0 or inside == len(cell) * (len(cell) - 1)
 
 
 def _orbit(mask: int, gens: list[tuple[int, ...]]) -> int:
@@ -248,8 +223,7 @@ def _canon(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
     of an explored sibling under the automorphisms found so far that fix
     the node's individualized vertices is skipped (McKay, J. Algorithms
     26, 1998): its subtree is the sibling's image and holds the same keys.
-    Each node refines the cells it is given by the cells that split and
-    passes its stable cells down; discrete cells list a leaf's labelling.
+    Each node refines the cells it is given by the cells that split.
     """
     _check_canon_n(g.n)
     n = g.n
@@ -272,7 +246,7 @@ def _canon(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
         for i, cell in enumerate(cells):
             if len(cell) > 1:
                 break
-        else:
+        else:  # discrete: cell c holds the vertex labelled c
             perm = [0] * n
             for c, (v,) in enumerate(cells):
                 perm[v] = c
@@ -293,15 +267,13 @@ def _canon(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
                 if explored >> v & 1:
                     continue
             explored |= 1 << v
-            # individualize v just below the rest of its cell; the cells
-            # were stable, so only the counts into [v] can differ
-            rest = [w for w in cell if w != v]
+            rest = [w for w in cell if w != v]  # v goes just below the rest
             search(cells[:i] + [[v], rest] + cells[i + 1 :], [1 << v], fixed + [v])
 
     by_degree: dict[int, list[int]] = {}
     for v, nb in enumerate(nbrs):
         by_degree.setdefault(len(nb), []).append(v)
-    cells = [by_degree[d] for d in sorted(by_degree)]  # what refining one cell gives
+    cells = [by_degree[d] for d in sorted(by_degree)]  # the degree cells, ascending
     search(cells, [sum(1 << v for v in cell) for cell in cells[:-1]], [])
     return _key_graph6(n, best_key), list(dict.fromkeys(gens))
 
@@ -455,15 +427,11 @@ def enumerate_class(
 
 
 def _fresh_stats() -> dict[str, int]:
-    return {
-        "children": 0,
-        "duplicate": 0,
-        "quick_reject": 0,
-        "class_reject": 0,
-        "forbidden_reject": 0,
-        "disconnected": 0,
-        "emitted": 0,
-    }
+    return dict.fromkeys(
+        "children duplicate quick_reject class_reject forbidden_reject"
+        " disconnected emitted".split(),
+        0,
+    )
 
 
 # ---------------------------------------------------------------------------
