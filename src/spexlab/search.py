@@ -121,13 +121,14 @@ def _refine(
     rows: tuple[int, ...], cells: list[list[int]], splitters: list[int]
 ) -> list[list[int]]:
     """Equitable refinement of ordered cells of one-degree vertices, each
-    ascending, by the cells that split: the cells of recoloring by (color,
-    sorted neighbor colors) until stable, in color order. ``splitters``
-    masks the new pieces in color order less each cell's last, whose
-    counts follow from the rest: all degree cells but the last at the root,
-    [v] after individualizing v. Only counts into new pieces order a cell
-    (it has equal counts into the cells before; McKay, Congr. Numer. 30,
-    1981); packed 4 bits each as n <= 16, they sort it descending.
+    ascending, by the cells that split: the cells, in color order, that
+    recoloring by (color, sorted neighbor colors) until stable gives.
+    ``splitters`` masks the new pieces in color order, less each split
+    cell's last piece, whose counts follow from the others: all degree
+    cells but the last at the root, [v] after individualizing v. A cell
+    has equal counts into the cells of the round before, so only counts
+    into new pieces order it (McKay, Congr. Numer. 30, 1981); packed 4
+    bits each (n <= 16), they sort it descending, as colors did.
     """
     while splitters and len(cells) < len(rows):
         out: list[list[int]] = []
@@ -154,14 +155,17 @@ def _homogeneous(rows: tuple[int, ...], cell: list[int]) -> bool:
     """True when every permutation of the cell is an automorphism (same
     neighbors outside the cell, and the cell induces a clique or an
     independent set); then one individualization branch suffices."""
-    members = sum(1 << v for v in cell)
+    members = 0
+    for v in cell:
+        members |= 1 << v
     outside = rows[cell[0]] & ~members
     inside = 0
     for v in cell:
         if rows[v] & ~members != outside:
             return False
         inside += (rows[v] & members).bit_count()
-    return inside == 0 or inside == len(cell) * (len(cell) - 1)
+    k = len(cell)
+    return inside == 0 or inside == k * (k - 1)
 
 
 def _orbit(mask: int, gens: list[tuple[int, ...]]) -> int:
@@ -427,11 +431,15 @@ def enumerate_class(
 
 
 def _fresh_stats() -> dict[str, int]:
-    return dict.fromkeys(
-        "children duplicate quick_reject class_reject forbidden_reject"
-        " disconnected emitted".split(),
-        0,
-    )
+    return {
+        "children": 0,
+        "duplicate": 0,
+        "quick_reject": 0,
+        "class_reject": 0,
+        "forbidden_reject": 0,
+        "disconnected": 0,
+        "emitted": 0,
+    }
 
 
 # ---------------------------------------------------------------------------
