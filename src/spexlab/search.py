@@ -127,8 +127,8 @@ def _refine(
     cell's last piece, whose counts follow from the others: all degree
     cells but the last at the root, [v] after individualizing v. A cell
     has equal counts into the cells of the round before, so only counts
-    into new pieces order it (McKay, Congr. Numer. 30, 1981); packed 4
-    bits each (n <= 16), they sort it descending, as colors did.
+    into new pieces order it (McKay, Congr. Numer. 30, 1981), packed 4
+    bits each (n <= 16): descending counts are ascending color tuples.
     """
     while splitters and len(cells) < len(rows):
         out: list[list[int]] = []
