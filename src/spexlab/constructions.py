@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -238,51 +238,3 @@ def transform_predecessors(
             if a >= b + 2 and (s2_cap is None or b + 1 <= s2_cap):
                 out.add(_replace(sizes, (a, b), (a - 1, b + 1)))
     return [PathPartition(p) for p in sorted(out, reverse=True)]
-
-
-class NotReachableError(ValueError):
-    """No transformation chain exists between the two partitions."""
-
-
-def transformation_chain_to(
-    h: PathPartition, target: PathPartition
-) -> list[tuple[int, int]]:
-    """Shortest sequence of (i, j) transform indices carrying h to target.
-
-    Empty list iff h already equals target (every step changes the
-    partition). Breadth-first search over the reachable partition set;
-    intended for desk-scale totals.
-    """
-    if h.total != target.total:
-        raise ValueError(
-            f"totals differ: {h.total} vs {target.total}; no chain can exist"
-        )
-    if h.parts == target.parts:
-        return []
-    seen = {h.parts}
-    queue = deque([(h.parts, [])])
-    while queue:
-        parts, chain = queue.popleft()
-        cur = PathPartition(parts)
-        q = len(parts)
-        for i in range(q):
-            for j in range(q):
-                if i == j or parts[i] < parts[j]:
-                    continue
-                nxt = transform(cur, i, j)
-                if nxt.parts in seen:
-                    continue
-                step_chain = chain + [(i, j)]
-                if nxt.parts == target.parts:
-                    return step_chain
-                seen.add(nxt.parts)
-                queue.append((nxt.parts, step_chain))
-    raise NotReachableError(f"{target} is not reachable from {h}")
-
-
-def apply_chain(
-    h: PathPartition, chain: Iterable[tuple[int, int]]
-) -> PathPartition:
-    for i, j in chain:
-        h = transform(h, i, j)
-    return h

@@ -139,15 +139,6 @@ def contains_bouquet(g: Graph, t: int, l: int) -> bool:
     return find_bouquet(g, t, l) is not None
 
 
-def max_hub_cycles_at(g: Graph, v: int, l: int, cap: int) -> int:
-    """Largest k <= cap of l-cycles through v pairwise sharing only v."""
-    masks = _hub_cycle_sets(g.rows(), v, l)
-    best = 0
-    while best < cap and _pack_hub_cycles(masks, best + 1) is not None:
-        best += 1
-    return best
-
-
 def _walk_hub_cycles(
     rows: Sequence[int], v: int, l: int, sink: Callable[[list[int], int, int], None], skip: int = 0
 ) -> None:

@@ -22,7 +22,6 @@ import numpy as np
 
 from .forbidden import ForbiddenSpec, is_free
 from .graph import Graph, _bits, empty_graph
-from .graph6 import graph6_decode
 from .recognition import (
     is_outerplanar,
     is_planar,
@@ -286,10 +285,6 @@ def canonical_form(g: Graph) -> bytes:
     """Isomorphism-invariant bytes (the graph6 of a canonical relabeling);
     equal strings iff isomorphic. Refinement-based; intended for n <= 16."""
     return _canon(g)[0]
-
-
-def canonical_graph(g: Graph) -> Graph:
-    return graph6_decode(canonical_form(g).decode("ascii"))
 
 
 # ---------------------------------------------------------------------------
@@ -607,22 +602,13 @@ def _qualifies(g: Graph, config: SearchConfig) -> bool:
 
 
 def _moves(g: Graph) -> Iterator[tuple[str, Graph]]:
-    """Single-edge additions, removals, and rotations (replace (u,v) by
-    (u,w)), in deterministic order."""
-    n = g.n
-    edges = g.edges()
-    for u in range(n):
-        for v in range(u + 1, n):
+    """Each single-edge addition, then each removal, in lexicographic order."""
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
             if not g.has_edge(u, v):
                 yield f"add {u} {v}", g.add_edge(u, v)
-    for u, v in edges:
+    for u, v in g.edges():
         yield f"del {u} {v}", g.remove_edge(u, v)
-    for u, v in edges:
-        base = g.remove_edge(u, v)
-        for keep, drop in ((u, v), (v, u)):
-            for w in range(n):
-                if w != keep and w != drop and not g.has_edge(keep, w):
-                    yield f"rot {keep} {drop} {w}", base.add_edge(keep, w)
 
 
 def _climb(g: Graph, config: SearchConfig, log: list[str]) -> tuple[Graph, float]:
@@ -650,10 +636,15 @@ def _climb(g: Graph, config: SearchConfig, log: list[str]) -> tuple[Graph, float
 def local_search_spex(
     config: SearchConfig, start: Graph, restarts: int = 0
 ) -> SearchReport:
-    """Greedy hill climb from start; optional seeded random restarts
-    shuffle the climb with a few random qualifying moves first."""
+    """Greedy single-edge hill climb from start (start.n in [n_min, n_max]);
+    each seeded random restart climbs after a few random qualifying moves."""
     if config.mode != "local":
         raise ValueError("config.mode must be 'local'")
+    if not config.n_min <= start.n <= config.n_max:
+        raise ValueError(
+            f"start graph has n={start.n}, outside the search range"
+            f" [{config.n_min}, {config.n_max}]"
+        )
     _check_canon_n(start.n)
     if not _qualifies(start, config):
         raise ValueError(

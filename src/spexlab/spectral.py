@@ -3,8 +3,9 @@
 The solver is shifted power iteration (A + I, degree-vector start) with a
 Rayleigh-quotient estimate each step. ``residual`` is ||A x - rho x||_2
 for the unit iterate x; for a symmetric matrix some eigenvalue lies within
-residual of rho, and since iterates stay positive and converge toward the
-Perron branch that eigenvalue is the spectral radius. Strict comparisons
+residual of rho. That it is the spectral radius rests on a convergence
+argument (positive iterates tend to the Perron branch), not a proof, so
+the upper side is not yet rigorous (ROADMAP item 1). Strict comparisons
 must clear the sum of both residuals or they are reported indeterminate.
 
 Hub-joined path families K_h v (disjoint paths) have an equitable
@@ -98,16 +99,6 @@ def adjacency_csr(g: Graph) -> sp.csr_matrix:
         )
         lo = hi
     return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(g.n, g.n))
-
-
-def rayleigh_quotient(g: Graph, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.n,):
-        raise ValueError(f"vector length {x.shape} does not match n={g.n}")
-    denom = float(x @ x)
-    if denom == 0.0:
-        raise ValueError("zero vector")
-    return float(x @ (adjacency_csr(g) @ x)) / denom
 
 
 def spectral_radius(

@@ -135,6 +135,16 @@ def test_search_rejects_cap_below_one(capsys):
     assert err == "error: exhaustive_cap must be >= 1, got 0\n"
 
 
+def test_local_search_start_outside_the_range_exits_1(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "search", "--mode", "local", "--start-g6", "Cr",
+        "--nmin", "7", "--nmax", "9", "--format", "json",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: start graph has n=4, outside the search range [7, 9]\n"
+
+
 def test_search_refuses_n_above_16_before_enumerating(capsys, monkeypatch):
     from spexlab import search
 

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from spexlab.constructions import (
     FamilySpec,
-    NotReachableError,
     PathPartition,
-    apply_chain,
     construct,
     family_partition,
     fill_partition,
@@ -21,7 +19,6 @@ from spexlab.constructions import (
     transform,
     transform_predecessors,
     transform_successors,
-    transformation_chain_to,
 )
 from spexlab.forbidden import ForbiddenSpec, is_free, matching_number
 from spexlab.graph import (
@@ -298,24 +295,3 @@ def test_successors_match_reference_on_families():
     # family shapes are checked at n = 150
     for h in _family_partitions(150):
         assert transform_successors(h) == brute_successors(h)
-
-
-def test_transformation_chain():
-    h = PathPartition([2, 2])
-    chain = transformation_chain_to(h, PathPartition([4]))
-    assert len(chain) == 2
-    assert apply_chain(h, chain).parts == (4,)
-    assert transformation_chain_to(h, h) == []
-    with pytest.raises(ValueError, match="totals differ"):
-        transformation_chain_to(h, PathPartition([4, 1]))
-    with pytest.raises(NotReachableError):
-        transformation_chain_to(PathPartition([2, 1]), PathPartition([1, 1, 1]))
-
-
-@given(partitions)
-@settings(max_examples=60, deadline=None)
-def test_everything_reaches_the_single_path(h):
-    target = PathPartition([h.total])
-    chain = transformation_chain_to(h, target)
-    assert apply_chain(h, chain).parts == target.parts
-    assert len(chain) >= len(h.parts) - 1  # each merge removes one part

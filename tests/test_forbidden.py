@@ -22,7 +22,6 @@ from spexlab.forbidden import (
     is_free,
     matching_number,
     max_edge_disjoint_l_cycles_at,
-    max_hub_cycles_at,
     maximum_matching,
 )
 from spexlab.graph import (
@@ -205,15 +204,25 @@ def test_bouquet_arg_validation():
         find_bouquet(complete(4), 1, 2)
 
 
+def hub_cycle_count(g: Graph, v: int, l: int, cap: int) -> int:
+    """Largest k <= cap of l-cycles through v pairwise sharing only v, by
+    the library's cycle sets at v and its packer."""
+    masks = forbidden._hub_cycle_sets(g.rows(), v, l)
+    best = 0
+    while best < cap and forbidden._pack_hub_cycles(masks, best + 1) is not None:
+        best += 1
+    return best
+
+
 def test_hub_cycle_counts_on_wheels():
     # rim of W_n is C_{n-1}: disjoint rim edges bound both packings
     for n in (6, 7, 8, 9):
         w = join(complete(1), cycle(n - 1))
-        assert max_hub_cycles_at(w, 0, 3, cap=10) == (n - 1) // 2
+        assert hub_cycle_count(w, 0, 3, cap=10) == (n - 1) // 2
         assert max_edge_disjoint_l_cycles_at(w, 0, 3, cap=10) == (n - 1) // 2
-        assert max_hub_cycles_at(w, 0, 3, cap=2) == 2  # cap respected
+        assert hub_cycle_count(w, 0, 3, cap=2) == 2  # cap respected
     assert max_edge_disjoint_l_cycles_at(complete(5), 0, 3, cap=10) == 2
-    assert max_hub_cycles_at(complete(5), 0, 3, cap=10) == 2
+    assert hub_cycle_count(complete(5), 0, 3, cap=10) == 2
 
 
 def test_hub_cycle_counts_against_brute():
@@ -231,7 +240,7 @@ def test_hub_cycle_counts_against_brute():
                     ):
                         best = k
                         break
-                assert max_hub_cycles_at(g, v, l, cap=10) == best
+                assert hub_cycle_count(g, v, l, cap=10) == best
 
 
 def _brute_internal_sets(g: Graph, v: int, l: int):
@@ -322,7 +331,7 @@ def reference_find_bouquet(g: Graph, t: int, l: int):
     return None
 
 
-def reference_max_hub_cycles_at(g: Graph, v: int, l: int, cap: int) -> int:
+def reference_hub_cycle_count(g: Graph, v: int, l: int, cap: int) -> int:
     paths = list(reference_all_hub_paths(g, v, l))
     best = 0
     while best < cap and reference_pack_hub_cycles(v, paths, best + 1) is not None:
@@ -360,8 +369,8 @@ def check_against_reference(g: Graph, t: int, l: int):
         if found is not None:
             check_bouquet_witness(g, k, l, found)
     for v in range(g.n):
-        got = max_hub_cycles_at(g, v, l, cap=t + 1)
-        assert got == reference_max_hub_cycles_at(g, v, l, cap=t + 1), (g.rows(), v, l)
+        got = hub_cycle_count(g, v, l, cap=t + 1)
+        assert got == reference_hub_cycle_count(g, v, l, cap=t + 1), (g.rows(), v, l)
 
 
 def flip_family_graphs():
@@ -453,7 +462,7 @@ def test_hub_cycle_count_when_int_hashes_collide():
     # jn:n=125 is K1 v 62K2; the triangle masks {1, 2} and {123, 124} are
     # equal mod 2^61 - 1, and every one of the 62 triangles must count
     f = construct(FamilySpec("jn", 125))
-    assert max_hub_cycles_at(f, 0, 3, cap=70) == 62
+    assert hub_cycle_count(f, 0, 3, cap=70) == 62
     check_bouquet_witness(f, 62, 3, find_bouquet(f, 62, 3))
 
 

@@ -21,6 +21,7 @@ from spexlab.graph import (
     complete_bipartite,
     cycle,
     disjoint_union,
+    empty_graph,
     from_edges,
     join,
     path,
@@ -37,10 +38,10 @@ from spexlab.search import (
     _homogeneous,
     _key_graph6,
     _leaf_key,
+    _moves,
     _orbit_minima,
     _refine,
     canonical_form,
-    canonical_graph,
     enumerate_class,
     exhaustive_spex,
     load_checkpoint,
@@ -73,13 +74,12 @@ def test_canonical_form_separates_n4():
     assert len(classes) == len(forms) == 11
 
 
-def test_canonical_graph_is_isomorphic_relabel():
+def test_canonical_form_decodes_to_an_isomorphic_graph():
     rnd = random.Random(12)
     for _ in range(30):
         g = random_graph(rnd, rnd.randint(1, 9), 0.4)
-        c = canonical_graph(g)
+        c = graph6_decode(canonical_form(g).decode("ascii"))
         assert nx.is_isomorphic(to_nx(g), to_nx(c))
-        assert graph6_decode(canonical_form(g).decode("ascii")) == c
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -288,6 +288,29 @@ def test_local_search_validation():
     cfg = SearchConfig(n_min=5, n_max=5, mode="local")
     with pytest.raises(ValueError, match="start graph"):
         local_search_spex(cfg, complete(5))  # not outerplanar
+
+
+def test_local_search_refuses_a_start_outside_the_range(monkeypatch):
+    """The climb keeps the start's order, so a start outside [n_min, n_max]
+    would give a report whose only entry lies outside its own range."""
+    checked = _count_calls(monkeypatch, "_qualifies")
+    for lo, hi in ((7, 9), (2, 3)):
+        cfg = SearchConfig(n_min=lo, n_max=hi, mode="local")
+        with pytest.raises(ValueError, match=rf"n=4, outside the search range \[{lo}, {hi}\]"):
+            local_search_spex(cfg, path(4))
+    assert checked["_qualifies"] == 0
+    report = local_search_spex(SearchConfig(n_min=3, n_max=5, mode="local"), path(4))
+    assert [e["n"] for e in report.entries] == [4]
+
+
+@pytest.mark.parametrize(
+    "g", [empty_graph(1), path(4), cycle(5), star(5), complete(4), from_edges(5, [(0, 3), (1, 4)])]
+)
+def test_moves_are_each_addition_then_each_removal(g):
+    pairs = list(itertools.combinations(range(g.n), 2))
+    expected = [(f"add {u} {v}", g.add_edge(u, v)) for u, v in pairs if not g.has_edge(u, v)]
+    expected += [(f"del {u} {v}", g.remove_edge(u, v)) for u, v in pairs if g.has_edge(u, v)]
+    assert list(_moves(g)) == expected
 
 
 def test_search_config_validation():
