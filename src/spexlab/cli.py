@@ -3,8 +3,10 @@
 Exit codes are a stable contract: 0 success, 1 domain error (bad
 parameters, malformed graph6, usage errors), 2 verification failure (a
 suite reported failures), 3 internal or convergence error. Diagnostics go
-to stderr; results go to stdout or the --out file. A --config file holds
-key=value lines (flag names without the dashes); explicit flags override.
+to stderr; results go to stdout or the --out file. Each command returns
+its exit code and its text in every format it has; asking for another
+format is a usage error. A --config file holds key=value lines (flag
+names without the dashes); explicit flags override.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .forbidden import ForbiddenSpec, is_free
 from .graph import Graph
 from .graph6 import graph6_decode, graph6_encode
 from .recognition import is_outerplanar, is_planar
-from .search import SearchConfig, exhaustive_spex, local_search_spex
+from .search import CLASSES, MODES, SearchConfig, exhaustive_spex, local_search_spex
 from .spectral import ConvergenceError, spectral_radius
 from . import experiments
 
@@ -62,7 +64,7 @@ def _build_parser() -> _Parser:
 
     sp = _sub("check", description="Class membership and freeness checks.")
     _graph_input(sp)
-    sp.add_argument("--class", dest="klass", choices=("outerplanar", "planar"), default=None)
+    sp.add_argument("--class", dest="klass", choices=CLASSES, default=None)
     sp.add_argument("--forbidden", default=None, help="C{l}, B{t}x{l} or M{k}")
     common(sp)
     sp.set_defaults(handler=_cmd_check)
@@ -84,9 +86,9 @@ def _build_parser() -> _Parser:
     sp = _sub("search", description="Spectral-maximizer search over a graph class.")
     sp.add_argument("--nmin", type=int, default=None)
     sp.add_argument("--nmax", type=int, default=None)
-    sp.add_argument("--class", dest="klass", choices=("outerplanar", "planar"), default="outerplanar")
+    sp.add_argument("--class", dest="klass", choices=CLASSES, default="outerplanar")
     sp.add_argument("--forbidden", default=None)
-    sp.add_argument("--mode", choices=("exhaustive", "local"), default="exhaustive")
+    sp.add_argument("--mode", choices=MODES, default="exhaustive")
     sp.add_argument("--disconnected", action="store_true", help="drop the connected-only restriction")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--checkpoint", default=None)
@@ -168,55 +170,48 @@ def _require(args, *names) -> None:
             raise UsageError(f"--{name} is required")
 
 
-def _cmd_construct(args) -> tuple[int, str]:
+def _cmd_construct(args) -> tuple[int, dict[str, str]]:
     _require(args, "family")
     spec = FamilySpec.parse(args.family)
     g = construct(spec)
     enc = graph6_encode(g)
-    if args.format == "g6":
-        return EXIT_OK, enc
     payload = {"family": str(spec), "n": g.n, "edges": g.edge_count(), "graph6": enc}
-    if args.format == "json":
-        return EXIT_OK, json.dumps(payload, sort_keys=True)
-    if args.format == "csv":
-        return EXIT_OK, _csv(
-            "family,n,edges,graph6", [f"{spec},{g.n},{g.edge_count()},{enc}"]
-        )
-    return EXIT_OK, f"{spec} n={g.n} edges={g.edge_count()} {enc}"
+    return EXIT_OK, {
+        "json": json.dumps(payload, sort_keys=True),
+        "csv": _csv("family,n,edges,graph6", [f"{spec},{g.n},{g.edge_count()},{enc}"]),
+        "g6": enc,
+        "text": f"{spec} n={g.n} edges={g.edge_count()} {enc}",
+    }
 
 
-def _cmd_check(args) -> tuple[int, str]:
+def _cmd_check(args) -> tuple[int, dict[str, str]]:
     g = _load_graph(args)
     if args.klass is None and args.forbidden is None:
         raise UsageError("nothing to check; give --class and/or --forbidden")
     payload: dict = {"graph6": graph6_encode(g), "n": g.n}
+    bits = []
     if args.klass is not None:
         rec = is_outerplanar(g) if args.klass == "outerplanar" else is_planar(g)
         payload["class"] = args.klass
         payload["in_class"] = rec.planar
+        bits.append(f"{args.klass}={rec.planar}")
     if args.forbidden is not None:
         spec = ForbiddenSpec.parse(args.forbidden)
         payload["forbidden"] = str(spec)
         payload["free"] = is_free(g, spec)
-    if args.format == "json":
-        return EXIT_OK, json.dumps(payload, sort_keys=True)
-    if args.format == "csv":
-        keys = [k for k in ("class", "in_class", "forbidden", "free") if k in payload]
-        return EXIT_OK, _csv(
+        bits.append(f"{spec}-free={payload['free']}")
+    keys = [k for k in ("class", "in_class", "forbidden", "free") if k in payload]
+    return EXIT_OK, {
+        "json": json.dumps(payload, sort_keys=True),
+        "csv": _csv(
             "graph6,n," + ",".join(keys),
-            [",".join([payload["graph6"], str(payload["n"])] + [str(payload[k]) for k in keys])],
-        )
-    if args.format == "g6":
-        raise UsageError("--format g6 makes no sense for check")
-    bits = []
-    if "in_class" in payload:
-        bits.append(f"{payload['class']}={payload['in_class']}")
-    if "free" in payload:
-        bits.append(f"{payload['forbidden']}-free={payload['free']}")
-    return EXIT_OK, " ".join(bits)
+            [",".join([payload["graph6"], str(g.n)] + [str(payload[k]) for k in keys])],
+        ),
+        "text": " ".join(bits),
+    }
 
 
-def _cmd_rho(args) -> tuple[int, str]:
+def _cmd_rho(args) -> tuple[int, dict[str, str]]:
     g = _load_graph(args)
     est = spectral_radius(g, tol=args.tol)
     payload = {
@@ -225,16 +220,14 @@ def _cmd_rho(args) -> tuple[int, str]:
         "residual": est.residual,
         "iterations": est.iterations,
     }
-    if args.format == "json":
-        return EXIT_OK, json.dumps(payload, sort_keys=True)
-    if args.format == "csv":
-        return EXIT_OK, _csv(
+    return EXIT_OK, {
+        "json": json.dumps(payload, sort_keys=True),
+        "csv": _csv(
             "n,rho,residual,iterations",
             [f"{g.n},{est.rho!r},{est.residual:.6e},{est.iterations}"],
-        )
-    if args.format == "g6":
-        raise UsageError("--format g6 makes no sense for rho")
-    return EXIT_OK, f"rho {est.rho!r} residual {est.residual:.3e} iterations {est.iterations}"
+        ),
+        "text": f"rho {est.rho!r} residual {est.residual:.3e} iterations {est.iterations}",
+    }
 
 
 def _parse_partition(text: str) -> PathPartition:
@@ -245,31 +238,29 @@ def _parse_partition(text: str) -> PathPartition:
     return PathPartition(parts)
 
 
-def _cmd_transform(args) -> tuple[int, str]:
+def _cmd_transform(args) -> tuple[int, dict[str, str]]:
     _require(args, "partition")
     h = _parse_partition(args.partition)
     if args.successors:
         succ = transform_successors(h)
-        if args.format == "json":
-            return EXIT_OK, json.dumps(
+        return EXIT_OK, {
+            "json": json.dumps(
                 {"partition": list(h.parts), "successors": [list(s.parts) for s in succ]}
-            )
-        if args.format == "csv":
-            return EXIT_OK, _csv("successor", [";".join(map(str, s.parts)) for s in succ])
-        return EXIT_OK, "\n".join(str(s) for s in succ)
+            ),
+            "csv": _csv("successor", [";".join(map(str, s.parts)) for s in succ]),
+            "text": "\n".join(str(s) for s in succ),
+        }
     result = transform(h, args.i, args.j)
-    if args.format == "json":
-        return EXIT_OK, json.dumps(
+    return EXIT_OK, {
+        "json": json.dumps(
             {"partition": list(h.parts), "i": args.i, "j": args.j, "result": list(result.parts)}
-        )
-    if args.format == "csv":
-        return EXIT_OK, _csv("result", [";".join(map(str, result.parts))])
-    if args.format == "g6":
-        raise UsageError("--format g6 makes no sense for transform")
-    return EXIT_OK, str(result)
+        ),
+        "csv": _csv("result", [";".join(map(str, result.parts))]),
+        "text": str(result),
+    }
 
 
-def _cmd_search(args) -> tuple[int, str]:
+def _cmd_search(args) -> tuple[int, dict[str, str]]:
     _require(args, "nmin", "nmax")
     forbidden = ForbiddenSpec.parse(args.forbidden) if args.forbidden else None
     config = SearchConfig(
@@ -289,22 +280,19 @@ def _cmd_search(args) -> tuple[int, str]:
         report = local_search_spex(config, graph6_decode(args.start_g6), args.restarts)
     else:
         report = exhaustive_spex(config)
-    if args.format == "json":
-        return EXIT_OK, report.to_json()
-    if args.format == "csv":
-        return EXIT_OK, "\n".join(report.csv_lines())
-    if args.format == "g6":
-        lines = [c for e in report.entries for c in e["certificates"]]
-        return EXIT_OK, "\n".join(lines)
-    lines = [
-        f"n={e['n']} rho={e['best_rho']:.10f} certificates={len(e['certificates'])}"
-        f" candidates={e['candidates']}"
-        for e in report.entries
-    ]
-    return EXIT_OK, "\n".join(lines)
+    return EXIT_OK, {
+        "json": report.to_json(),
+        "csv": "\n".join(report.csv_lines()),
+        "g6": "\n".join(c for e in report.entries for c in e["certificates"]),
+        "text": "\n".join(
+            f"n={e['n']} rho={e['best_rho']:.10f} certificates={len(e['certificates'])}"
+            f" candidates={e['candidates']}"
+            for e in report.entries
+        ),
+    }
 
 
-def _cmd_verify(args) -> tuple[int, str]:
+def _cmd_verify(args) -> tuple[int, dict[str, str]]:
     _require(args, "suite")
     params: dict = {}
     for item in args.param:
@@ -333,19 +321,16 @@ def _cmd_verify(args) -> tuple[int, str]:
         for d in r.failures + r.indeterminates:
             print(f"  {d}", file=sys.stderr)
     code = EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY
-    if args.format == "json":
-        markdown, payload = experiments.traceability(results)
-        return code, json.dumps(payload, sort_keys=True, indent=2)
-    if args.format == "csv":
-        rows = [
-            f"{r.suite},{r.cases},{r.passes},{len(r.failures)},{len(r.indeterminates)}"
-            for r in results
-        ]
-        return code, _csv("suite,cases,passes,failures,indeterminates", rows)
-    if args.format == "g6":
-        raise UsageError("--format g6 makes no sense for verify")
-    markdown, _ = experiments.traceability(results)
-    return code, markdown
+    markdown, payload = experiments.traceability(results)
+    rows = [
+        f"{r.suite},{r.cases},{r.passes},{len(r.failures)},{len(r.indeterminates)}"
+        for r in results
+    ]
+    return code, {
+        "json": json.dumps(payload, sort_keys=True, indent=2),
+        "csv": _csv("suite,cases,passes,failures,indeterminates", rows),
+        "text": markdown,
+    }
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -367,8 +352,10 @@ def main(argv: list[str] | None = None) -> int:
         args = _apply_config(parser, sys.argv[1:] if argv is None else argv)
         if getattr(args, "handler", None) is None:
             raise UsageError("missing subcommand; see --help")
-        code, text = args.handler(args)
-        _emit(text, args.out)
+        code, forms = args.handler(args)
+        if args.format not in forms:
+            raise UsageError(f"--format {args.format} makes no sense for {args.subcommand}")
+        _emit(forms[args.format], args.out)
         return code
     except SystemExit as e:  # argparse --help
         return EXIT_OK if e.code in (0, None) else EXIT_DOMAIN

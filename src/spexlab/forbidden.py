@@ -5,8 +5,9 @@ share exactly one common hub vertex. Detection is exact subgraph
 containment: ``contains_bouquet`` packs t internally vertex-disjoint
 l-cycles through some hub. The looser edge-disjoint packing (cycles may
 also share non-hub vertices) is exposed separately as
-``max_edge_disjoint_l_cycles_at``; the two notions differ on some
-two-hub join graphs, and the experiments module reports where.
+``max_edge_disjoint_l_cycles_at``; one set packer serves both, over vertex
+masks and edge masks. The two notions differ on some two-hub join graphs,
+and the experiments module reports where.
 """
 
 from __future__ import annotations
@@ -247,16 +248,17 @@ def _pack_hub_cycles(masks: list[int], t: int) -> list[int] | None:
     """t pairwise disjoint masks, the first such choice in list order, or None.
 
     Backtracking over index-increasing combinations. The pruning bound
-    repeatedly strips the most reused vertex (a packing can use at most one
-    set through it), which refutes join-like graphs -- where nearly every
-    cycle runs through one high-degree vertex -- at the root instead of by
-    exhaustion.
+    repeatedly strips the most reused element (a packing can use at most
+    one set through it), which refutes join-like graphs -- where nearly
+    every cycle runs through one high-degree vertex -- at the root instead
+    of by exhaustion. The masks may hold vertices or edges alike.
     """
 
-    def upper(avail: list[int]) -> int:
-        bound = 0
+    def fits(avail: list[int], k: int) -> bool:
+        """False when the bound refutes k disjoint sets among avail; each
+        strip uses up one of the k, so the bound stops once it decides."""
         work = [masks[i] for i in avail]
-        while work:
+        while 1 < k <= len(work):
             counts: dict[int, int] = {}
             for m in work:
                 while m:
@@ -265,15 +267,15 @@ def _pack_hub_cycles(masks: list[int], t: int) -> list[int] | None:
                     m ^= b
             top, c = max(counts.items(), key=lambda kv: kv[1])
             if c <= 1:
-                return bound + len(work)  # pairwise disjoint from here
-            bound += 1
+                return True  # pairwise disjoint from here
+            k -= 1
             work = [m for m in work if not m & top]
-        return bound
+        return k <= len(work)
 
     def rec(avail: list[int], k: int) -> list[int] | None:
         if k == 0:
             return []
-        if len(avail) < k or upper(avail) < k:
+        if not fits(avail, k):
             return None
         for idx, i in enumerate(avail):
             rest = rec([j for j in avail[idx + 1 :] if not masks[j] & masks[i]], k - 1)
@@ -314,29 +316,17 @@ def all_l_cycles_at(g: Graph, v: int, l: int) -> list[frozenset[tuple[int, int]]
 def max_edge_disjoint_l_cycles_at(g: Graph, v: int, l: int, cap: int) -> int:
     """Largest k <= cap of pairwise edge-disjoint l-cycles through v.
 
-    Exact backtracking set packing over the enumerated cycles; intended
-    for desk-scale graphs (the cycle list through v must stay small).
+    Each cycle becomes the bitmask of its edges, edge uw (u < w) as bit
+    u * n + w, so edge-disjoint cycles are disjoint masks and the bouquet
+    packer decides each k in turn; intended for desk-scale graphs (the
+    cycle list through v must stay small).
     """
-    if cap < 1:
-        return 0
-    cycles = all_l_cycles_at(g, v, l)
+    n = g.n
+    masks = [sum(1 << u * n + w for u, w in c) for c in all_l_cycles_at(g, v, l)]
     best = 0
-
-    def rec(i: int, used: frozenset, count: int) -> int:
-        nonlocal best
-        best = max(best, count)
-        if best >= cap or i >= len(cycles):
-            return best
-        if count + len(cycles) - i <= best:
-            return best
-        for j in range(i, len(cycles)):
-            if not (cycles[j] & used):
-                rec(j + 1, used | cycles[j], count + 1)
-                if best >= cap:
-                    return best
-        return best
-
-    return rec(0, frozenset(), 0)
+    while best < cap and _pack_hub_cycles(masks, best + 1) is not None:
+        best += 1
+    return best
 
 
 def maximum_matching(g: Graph) -> list[tuple[int, int]]:

@@ -28,28 +28,26 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-def graph6_encode(g: Graph) -> str:
-    n = g.n
+def graph6_from_body(n: int, body: int) -> bytes:
+    """graph6 of the n-vertex graph whose upper triangle, read column by
+    column, is the n(n-1)/2-bit int ``body``, most significant bit first."""
     if n <= 62:
-        header = chr(63 + n)
+        header = bytes([63 + n])
     elif n <= 258047:
-        header = "~" + "".join(
-            chr(63 + (n >> s & 63)) for s in (12, 6, 0)
-        )
+        header = b"~" + bytes(63 + (n >> s & 63) for s in (12, 6, 0))
     else:
-        header = "~~" + "".join(
-            chr(63 + (n >> s & 63)) for s in (30, 24, 18, 12, 6, 0)
-        )
-    chunks = []
-    for j in range(1, n):
-        below = g.row(j) & ((1 << j) - 1)
-        chunks.append(format(below, f"0{j}b")[::-1])
-    bits = "".join(chunks)
-    nbytes = (len(bits) + 5) // 6
-    bits += "0" * (-len(bits) % 24)  # whole base64 quanta: no '=' padding
-    raw = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
-    body = base64.b64encode(raw).translate(_TO_G6)[:nbytes]
-    return header + body.decode("ascii")
+        header = b"~~" + bytes(63 + (n >> s & 63) for s in (30, 24, 18, 12, 6, 0))
+    bits = n * (n - 1) // 2
+    pad = -bits % 24  # whole base64 quanta: no '=' padding
+    raw = (body << pad).to_bytes((bits + pad) // 8, "big")
+    return header + base64.b64encode(raw).translate(_TO_G6)[: -(-bits // 6)]
+
+
+def graph6_encode(g: Graph) -> str:
+    bits = "".join(
+        format(g.row(j) & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n)
+    )
+    return graph6_from_body(g.n, int(bits or "0", 2)).decode("ascii")
 
 
 def graph6_decode(s: str) -> Graph:

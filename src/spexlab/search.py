@@ -22,6 +22,7 @@ import numpy as np
 
 from .forbidden import ForbiddenSpec, is_free
 from .graph import Graph, _bits, empty_graph
+from .graph6 import graph6_from_body
 from .recognition import (
     is_outerplanar,
     is_planar,
@@ -198,15 +199,6 @@ def _leaf_key(nbrs: list[list[int]], perm: list[int]) -> tuple[int, list[int]]:
     return key, inv
 
 
-def _key_graph6(n: int, key: int) -> bytes:
-    """graph6 of an n-vertex leaf key (n <= 62): the key padded to whole
-    6-bit groups, each plus 63, after the header byte 63 + n."""
-    bits = n * (n - 1) // 2
-    groups = -(-bits // 6)
-    body = key << 6 * groups - bits
-    return bytes([63 + n, *(63 + (body >> 6 * k & 63) for k in range(groups)[::-1])])
-
-
 def _check_canon_n(n: int) -> None:
     if n > 16:
         raise ValueError("canonical_form is limited to n <= 16")
@@ -278,7 +270,7 @@ def _canon(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
         by_degree.setdefault(len(nb), []).append(v)
     cells = [by_degree[d] for d in sorted(by_degree)]  # the degree cells, ascending
     search(cells, [sum(1 << v for v in cell) for cell in cells[:-1]], [])
-    return _key_graph6(n, best_key), list(dict.fromkeys(gens))
+    return graph6_from_body(n, best_key), list(dict.fromkeys(gens))
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -415,13 +407,10 @@ def enumerate_class(
     forbidden: ForbiddenSpec | None = None,
     connected_only: bool = True,
     cap: int = 10,
-    stats: dict[str, int] | None = None,
 ) -> Iterator[Graph]:
     """One representative per isomorphism class of qualifying n-vertex
     graphs, in deterministic order (by edge count, then canonical form)."""
-    if stats is None:
-        stats = _fresh_stats()
-    for _, g in _enumerate(n, klass, forbidden, connected_only, cap, stats):
+    for _, g in _enumerate(n, klass, forbidden, connected_only, cap, _fresh_stats()):
         yield g
 
 

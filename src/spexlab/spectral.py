@@ -430,9 +430,10 @@ def check_lower_bound_claim11(n: int, t: int, tol: float = DEFAULT_TOL) -> Bound
     )
 
 
-def check_eigenvector_box(
-    hubs: int, h: PathPartition, tol: float = DEFAULT_TOL, box_eps: float = 1e-9
-) -> BoundReport:
+BOX_EPS = 1e-9  # the most a normalized Perron entry may stray from its box
+
+
+def check_eigenvector_box(hubs: int, h: PathPartition, tol: float = DEFAULT_TOL) -> BoundReport:
     """Perron entries of ``joined_paths(hubs, h)`` off the hub(s) sit in
     [c/rho, c/rho + K/rho^2] with (c, K) = (1, 2.04) for K1-joins and
     (2, 4.496) for K2-joins, after normalizing the hub entries to 1."""
@@ -451,9 +452,9 @@ def check_eigenvector_box(
     return BoundReport(
         name=f"eigenvector-box-hub{hubs}",
         lhs=worst,
-        rhs=box_eps,
-        slack=box_eps - worst,
-        passed=worst <= box_eps,
+        rhs=BOX_EPS,
+        slack=BOX_EPS - worst,
+        passed=worst <= BOX_EPS,
         details={
             "rho": rho,
             "box_low": lo,

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -238,6 +240,14 @@ def test_usage_errors_exit_1(capsys):
         assert err.strip(), argv
 
 
+def test_transform_successors_has_no_g6_form(capsys):
+    code, out, err = run_cli(
+        capsys, "transform", "--partition", "4,2,2", "--successors", "--format", "g6"
+    )
+    assert (code, out) == (1, "")
+    assert err == "usage error: --format g6 makes no sense for transform\n"
+
+
 def _record_suite_params(monkeypatch) -> dict:
     """Replace run_suite by a recorder of the params each suite receives."""
     from spexlab import experiments
@@ -386,3 +396,70 @@ def test_console_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert abs(json.loads(proc.stdout)["rho"] - (1 + math.sqrt(10))) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# verb x format matrix
+
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+MATRIX_RUNS = {
+    "construct": ("construct", "--family", "k2hp:t=2,l=4,n=7"),
+    "check": ("check", "--family", "wheel:n=7", "--class", "outerplanar", "--forbidden", "B2x3"),
+    "rho": ("rho", "--family", "wheel:n=10"),
+    "transform": ("transform", "--partition", "4,2,2", "--i", "0", "--j", "1"),
+    "transform-successors": ("transform", "--partition", "4,2,2", "--successors"),
+    "search": ("search", "--nmin", "4", "--nmax", "6", "--forbidden", "C4"),
+    "search-local": (
+        "search", "--nmin", "6", "--nmax", "6", "--mode", "local",
+        "--start-g6", graph6_encode(path(6)), "--restarts", "2",
+    ),
+    "verify": ("verify", "--suite", "bouquet-semantics", "--param", "span=1"),
+}
+# [DERIVED] exit code and SHA-256 of stdout for each run above in each
+# format, computed with the CLI whose commands each branched on --format;
+# search wall-clock seconds are masked to 0.
+MATRIX = {
+    ("construct", "json"): (0, "8b68d66a1b1569012a1b1944462e5c9c24976ff427795c27ffe41272839b55c0"),
+    ("construct", "csv"): (0, "01365752a701c81aea546bc2dfd46624c8abcf9c8dd23004b989e541b663aeaa"),
+    ("construct", "g6"): (0, "8a54bdd7c181fbad28214c5087ac843f12c696a42fb91e94f4c491abf702c73d"),
+    ("construct", "text"): (0, "091e10b1cd6254ba62433bc3a1850e9d47cc03bce000858a5c1d78228fa8ca4e"),
+    ("check", "json"): (0, "52bf5d6f0f8d82c4cf5a18f9f6d7bfcbe3ce87f9e177c243185755f68cf96da3"),
+    ("check", "csv"): (0, "735c837dc08ba677d64fd748105033d0f376169bef0363debbeab9821e63c97a"),
+    ("check", "g6"): (1, EMPTY_SHA256),
+    ("check", "text"): (0, "dea0a049d4e2abf9604bec115b805ee9df0a032698496bd4bf1d065bfe4a582e"),
+    ("rho", "json"): (0, "bbe14e4cf39eda1658614fa70d3bd5d49274e160f641a893c0a0d92d3dac7beb"),
+    ("rho", "csv"): (0, "bf7cebe2a53d4466dddcca8af13e3b5dd2bcf468287d3ebe2640f075ad93c03b"),
+    ("rho", "g6"): (1, EMPTY_SHA256),
+    ("rho", "text"): (0, "98b36729aebfbc739ca69184ddb461676239d487e329f1e7e2c243c405d68835"),
+    ("transform", "json"): (0, "a0a251f791326d07014eb9bb631e3cedeca6b04b57838b8d37874abc61a1a7dc"),
+    ("transform", "csv"): (0, "8f99a22b576ed801b06d2c5d7edc541648e6513dd8bbc9a7ce288070117b9432"),
+    ("transform", "g6"): (1, EMPTY_SHA256),
+    ("transform", "text"): (0, "67c7de254f92f9bc4dffde6ddb14e875c8fd44098e2402f899875cc0e4fc04ce"),
+    ("transform-successors", "json"): (0, "ea36cd7c00f22c00a1d0aacec6e7bb39f20f8e8b39add05bae576da00f58c920"),
+    ("transform-successors", "csv"): (0, "3b6e5d77d7c46e4403f6f3f318d056eebaaabb390e1ef59ad5cddf7d66cc735f"),
+    # the one cell that changed: it printed partition lines and exited 0
+    ("transform-successors", "g6"): (1, EMPTY_SHA256),
+    ("transform-successors", "text"): (0, "75f9d6c67d06b633609a84e3ff7038606b6aa7631ceaa0b8a5c60c54712d2182"),
+    ("search", "json"): (0, "87346e56a59c744e6845d28185927edb59e9daa5150f081c137ce5cfc7025670"),
+    ("search", "csv"): (0, "7f376512477116490c97761c229034adc488c1af0cb091e75ab58a05396490d7"),
+    ("search", "g6"): (0, "e667c99a869b6d1b8c94d4617a581d4fa131bb4822ef7e9e94c5702af4f2ff59"),
+    ("search", "text"): (0, "0f3c5b1034efea28c08250bc34d8ae3a22f5f371f17beebb13d595a33d731257"),
+    ("search-local", "json"): (0, "15fbfb8dc31a6aa25c09087d488865c3b3eeef808f8acc6884ae788deedb7566"),
+    ("search-local", "csv"): (0, "8ace9f57657b8332853f0f8816e6fb9d20717d83eea5a40915e496ed01cfe286"),
+    ("search-local", "g6"): (0, "b31fc988a0bed6739241b6257e40ea734bfddcd6a25c22199d82e14054d8726e"),
+    ("search-local", "text"): (0, "1b5cab4282d6665af6b7adc46138549dda18d0052ba2c809c6ef8e6a29f15487"),
+    ("verify", "json"): (0, "e0edbbeab8d6495e9bd7727774528fd5e8ffbaa93d1925dd5bf91a5ab6538f86"),
+    ("verify", "csv"): (0, "7a29f57a9b6e3ab299b2892268c648da7b50a4190343877f4186d1ea9277d9c1"),
+    ("verify", "g6"): (1, EMPTY_SHA256),
+    ("verify", "text"): (0, "81ce032df022701dc95f66ee324e068e2fe68d56e907e8f60a572161f53a97d0"),
+}
+
+
+@pytest.mark.parametrize("run, fmt", list(MATRIX), ids=[f"{r}-{f}" for r, f in MATRIX])
+def test_verb_format_matrix(capsys, run, fmt):
+    code, out, _ = run_cli(capsys, *MATRIX_RUNS[run], "--format", fmt)
+    if run.startswith("search"):
+        out = re.sub(r'"seconds": [0-9.]+', '"seconds": 0', out)
+        if fmt == "csv":
+            out = re.sub(r",[0-9.]+$", ",0", out, flags=re.M)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == MATRIX[run, fmt]

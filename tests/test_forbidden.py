@@ -483,6 +483,53 @@ def test_all_l_cycles_at_are_edge_sets():
         assert len(t) == 3 and all(w.has_edge(u, v) for u, v in t)
 
 
+def reference_max_edge_disjoint(g: Graph, v: int, l: int, cap: int) -> int:
+    """Largest k <= cap of pairwise edge-disjoint l-cycles through v, by
+    backtracking over the cycles' frozenset edge sets."""
+    if cap < 1:
+        return 0
+    cycles = all_l_cycles_at(g, v, l)
+    best = 0
+
+    def rec(i: int, used: frozenset, count: int) -> int:
+        nonlocal best
+        best = max(best, count)
+        if best >= cap or i >= len(cycles):
+            return best
+        if count + len(cycles) - i <= best:
+            return best
+        for j in range(i, len(cycles)):
+            if not (cycles[j] & used):
+                rec(j + 1, used | cycles[j], count + 1)
+                if best >= cap:
+                    return best
+        return best
+
+    return rec(0, frozenset(), 0)
+
+
+def test_edge_disjoint_packing_matches_reference_on_atlas():
+    for G in nx.graph_atlas_g():
+        g = from_edges(G.number_of_nodes(), G.edges())
+        for v, l in itertools.product(range(g.n), (3, 4, 5)):
+            most = reference_max_edge_disjoint(g, v, l, 3)  # the reference at cap c is min(c, most)
+            for cap in (1, 2, 3):
+                got = max_edge_disjoint_l_cycles_at(g, v, l, cap)
+                assert got == min(cap, most), (g.rows(), v, l, cap)
+
+
+def test_edge_disjoint_packing_matches_reference_on_bouquet_semantics_graphs():
+    """The K2-join graphs the bouquet-semantics suite builds, at every
+    vertex with cap = t as the suite asks."""
+    for t, l in itertools.product((2, 3), (3, 4, 5)):
+        n_lo = t * l - t - l + 2
+        for n in range(n_lo, n_lo + 4):
+            g = construct(FamilySpec("k2hp", n, t=t, l=l))
+            for v in range(g.n):
+                expected = reference_max_edge_disjoint(g, v, l, t)
+                assert max_edge_disjoint_l_cycles_at(g, v, l, t) == expected, (n, t, l, v)
+
+
 def test_maximum_matching_against_networkx():
     rnd = random.Random(2024)
     for _ in range(120):

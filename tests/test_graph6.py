@@ -20,7 +20,7 @@ from spexlab.graph import (
     path,
     star,
 )
-from spexlab.graph6 import Graph6Error, graph6_decode, graph6_encode
+from spexlab.graph6 import Graph6Error, graph6_decode, graph6_encode, graph6_from_body
 
 
 def reference_encode(g: Graph) -> str:
@@ -130,6 +130,19 @@ def test_networkx_agreement():
         back = nx.from_graph6_bytes(ref.encode())
         assert graph6_decode(ref).edge_count() == back.number_of_edges()
         assert graph6_decode(ref) == g
+
+
+@pytest.mark.parametrize("n", range(71))
+def test_writer_matches_networkx(n):
+    """The body-int writer across the 1-byte to 4-byte header switch at 63."""
+    rnd = random.Random(n)
+    for p in (0.0, 0.3, 0.7, 1.0):
+        g = random_graph(rnd, n, p)
+        body = 0
+        for j in range(1, n):
+            for i in range(j):
+                body = body << 1 | g.has_edge(i, j)
+        assert graph6_from_body(n, body) + b"\n" == nx.to_graph6_bytes(to_nx(g), header=False)
 
 
 def test_padding_boundaries():

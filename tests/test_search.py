@@ -27,7 +27,7 @@ from spexlab.graph import (
     path,
     star,
 )
-from spexlab.graph6 import graph6_decode, graph6_encode
+from spexlab.graph6 import graph6_decode, graph6_encode, graph6_from_body
 from spexlab.search import (
     CHECKPOINT_MAGIC,
     TIE_WINDOW,
@@ -36,7 +36,6 @@ from spexlab.search import (
     _best_entry,
     _canon,
     _homogeneous,
-    _key_graph6,
     _leaf_key,
     _moves,
     _orbit_minima,
@@ -522,7 +521,7 @@ def _graph6_via_key(g, perm) -> bytes:
     nbrs = [list(g.neighbors(v)) for v in range(g.n)]
     key, inv = _leaf_key(nbrs, perm)
     assert [perm[v] for v in inv] == list(range(g.n))
-    return _key_graph6(g.n, key)
+    return graph6_from_body(g.n, key)
 
 
 @pytest.mark.parametrize("n", range(17))
@@ -774,7 +773,7 @@ def reference_canon(g) -> bytes:
                 walk(branch)
 
     walk(_degree_colors(nbrs))
-    return _key_graph6(n, best)
+    return graph6_from_body(n, best)
 
 
 @pytest.mark.parametrize("family", ["atlas", "circulants", "vertex-transitive"])
