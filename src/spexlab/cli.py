@@ -3,10 +3,10 @@
 Exit codes are a stable contract: 0 success, 1 domain error (bad
 parameters, malformed graph6, usage errors), 2 verification failure (a
 suite reported failures), 3 internal or convergence error. Diagnostics go
-to stderr; results go to stdout or the --out file. Each command returns
-its exit code and its text in every format it has; asking for another
-format is a usage error. A --config file holds key=value lines (flag
-names without the dashes); explicit flags override.
+to stderr; results go to stdout or the --out file. Each command declares
+its formats and returns its exit code and its text in each; another
+format is a usage error, raised before the command runs. A --config file
+holds key=value lines (flag names without the dashes); explicit flags win.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
 
 FORMATS = ("json", "csv", "g6", "text")
+_TABLE_FORMATS = ("json", "csv", "text")  # verbs whose output is not graphs
 
 
 class UsageError(ValueError):
@@ -60,20 +61,20 @@ def _build_parser() -> _Parser:
     sp = _sub("construct", description="Build a named family graph.")
     sp.add_argument("--family", required=True, help="kind:t=..,l=..,n=.. (wheel/star/jn/k2n2/claimw/k1hop/k2hp)")
     common(sp)
-    sp.set_defaults(handler=_cmd_construct)
+    sp.set_defaults(handler=_cmd_construct, formats=FORMATS)
 
     sp = _sub("check", description="Class membership and freeness checks.")
     _graph_input(sp)
     sp.add_argument("--class", dest="klass", choices=CLASSES, default=None)
     sp.add_argument("--forbidden", default=None, help="C{l}, B{t}x{l} or M{k}")
     common(sp)
-    sp.set_defaults(handler=_cmd_check)
+    sp.set_defaults(handler=_cmd_check, formats=_TABLE_FORMATS)
 
     sp = _sub("rho", description="Certified spectral radius.")
     _graph_input(sp)
     sp.add_argument("--tol", type=float, default=1e-10)
     common(sp)
-    sp.set_defaults(handler=_cmd_rho)
+    sp.set_defaults(handler=_cmd_rho, formats=_TABLE_FORMATS)
 
     sp = _sub("transform", description="Apply one path-partition transformation.")
     sp.add_argument("--partition", default=None, help="comma-separated path orders, e.g. 5,2,2")
@@ -81,7 +82,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--j", type=int, default=1, help="index of the shorter part (0-based)")
     sp.add_argument("--successors", action="store_true", help="list every one-step successor instead")
     common(sp)
-    sp.set_defaults(handler=_cmd_transform)
+    sp.set_defaults(handler=_cmd_transform, formats=_TABLE_FORMATS)
 
     sp = _sub("search", description="Spectral-maximizer search over a graph class.")
     sp.add_argument("--nmin", type=int, default=None)
@@ -96,13 +97,13 @@ def _build_parser() -> _Parser:
     sp.add_argument("--start-g6", default=None, help="start graph for local mode")
     sp.add_argument("--restarts", type=int, default=0)
     common(sp)
-    sp.set_defaults(handler=_cmd_search)
+    sp.set_defaults(handler=_cmd_search, formats=FORMATS)
 
     sp = _sub("verify", description="Run a verification suite (or 'all').")
     sp.add_argument("--suite", default=None)
     sp.add_argument("--param", action="append", default=[], help="suite keyword argument key=value")
     common(sp)
-    sp.set_defaults(handler=_cmd_verify)
+    sp.set_defaults(handler=_cmd_verify, formats=_TABLE_FORMATS)
 
     return p
 
@@ -352,9 +353,9 @@ def main(argv: list[str] | None = None) -> int:
         args = _apply_config(parser, sys.argv[1:] if argv is None else argv)
         if getattr(args, "handler", None) is None:
             raise UsageError("missing subcommand; see --help")
-        code, forms = args.handler(args)
-        if args.format not in forms:
+        if args.format not in args.formats:
             raise UsageError(f"--format {args.format} makes no sense for {args.subcommand}")
+        code, forms = args.handler(args)
         _emit(forms[args.format], args.out)
         return code
     except SystemExit as e:  # argparse --help

@@ -9,8 +9,8 @@ the upper side is not yet rigorous (ROADMAP item 1). Strict comparisons
 must clear the sum of both residuals or they are reported indeterminate.
 
 Hub-joined path families K_h v (disjoint paths) have an equitable
-partition, so ``joined_paths_radius`` solves their small quotient matrix
-instead of iterating on the whole graph.
+partition, so ``joined_paths_radius`` solves their secular equation, one
+tridiagonal sweep per distinct path length, instead of iterating.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ MAX_ITERATIONS = 10**6
 class SpectralEstimate:
     """``path`` names the solver that produced the estimate: "power"
     (float64 iteration only), "polish" (float64 iteration, then the
-    longdouble polish) or "quotient" (``joined_paths_radius``)."""
+    longdouble polish) or "quotient" (``joined_paths_radius``).
+    ``iterations`` counts power and polish steps; on "quotient", Newton steps."""
 
     rho: float
     residual: float
@@ -274,90 +275,80 @@ def _polish(a: sp.csr_matrix, x: np.ndarray, tol: float, budget: int):
 _QUOTIENT_STEPS = 50
 
 
+def _path_resolvent(L: int, lam) -> np.ndarray:
+    """z = (lam I - A(P_L))^-1 1 in longdouble, for lam above the spectrum
+    of the path P_L, by one Thomas sweep: the forward elimination keeps
+    the pivots p_i = lam - 1/p_(i-1), all positive there, and the back
+    substitution runs from the far end."""
+    piv = np.empty(L, dtype=np.longdouble)
+    z = np.empty(L, dtype=np.longdouble)
+    p, g = np.inf, np.longdouble(0)
+    for i in range(L):
+        p = lam - 1 / p
+        g = (1 + g) / p
+        piv[i], z[i] = p, g
+    for i in range(L - 2, -1, -1):
+        z[i] += z[i + 1] / piv[i]
+    return z
+
+
 def joined_paths_radius(
     hubs: int, h: PathPartition, tol: float = DEFAULT_TOL
 ) -> SpectralEstimate:
-    """rho of ``joined_paths(hubs, h)`` from its equitable quotient, without
+    """rho of ``joined_paths(hubs, h)`` from its secular equation, without
     building the graph.
 
     The hubs form one cell and each (path length, position) pair another,
-    whose size is the number of parts of that length. In the quotient Q,
-    Q[i, j] counts the neighbours in cell j of a vertex in cell i; its
-    Perron root is rho(G) and its Perron vector y lifts to that of A
-    (Godsil & Royle, *Algebraic Graph Theory*, 9.3; Brouwer & Haemers,
-    *Spectra of Graphs*, 2.3). Q has 1 + (sum of the distinct part sizes)
-    rows; a dense float64 ``eigh`` of its symmetrization D^1/2 Q D^-1/2
-    (D = diag of the cell sizes) gives y, and shifted steps with the exact
-    integer Q refine it in longdouble. ``iterations`` counts those steps.
-    The ``eigh`` is cubic in the number of rows: microseconds for the
-    paper's families (about 20 rows), seconds for one path of 3000.
+    of size m_L, the number of parts of length L. This partition is
+    equitable: A P = P Q for the cell indicator matrix P, and the Perron
+    root of the quotient Q is rho(G) (Godsil & Royle, *Algebraic Graph
+    Theory*, 9.3). With hub entries 1 a path of length L carries
+    y_L = hubs z_L, z_L = (lam I - A(P_L))^-1 1 (``_path_resolvent``), so
+    rho is the root above the path spectra of the Schur complement
+    F(lam) = lam - (hubs - 1) - hubs sum_L m_L 1'z_L, where
+    F' = 1 + hubs sum_L m_L z_L'z_L. F is increasing and concave there, so
+    Newton steps from the star bound rho(K_hubs v (n - hubs) K_1), which
+    lies below rho and above every path eigenvalue, climb monotonically;
+    they stop when a step no longer raises lam, after at most
+    ``_QUOTIENT_STEPS``. All of it runs in longdouble.
 
-    Because A P = P Q for the cell indicator matrix P, the certificate
-    ||A x - rho x|| / ||x|| of the lifted x = P y is computed in O(cells)
-    as sqrt(sum_k c_k ((Q y)_k - rho y_k)^2 / sum_k c_k y_k^2), and the
-    longdouble and float64 rounding of rho are added to it. The Perron vectors are in
-    the vertex order of ``joined_paths``: hubs, then ``h.parts`` in order,
-    each path from one end to the other. Raises ``ConvergenceError`` when
-    the residual cannot reach ``tol``.
+    rho is the Rayleigh quotient of y, and the certificate ||A x - rho x||
+    / ||x|| of the lifted x = P y is sqrt(sum_k c_k ((Q y)_k - rho y_k)^2
+    / sum_k c_k y_k^2) over the cells k of sizes c_k, summed once per
+    distinct length, plus the longdouble and float64 rounding of rho. The
+    Perron vectors are in the vertex order of ``joined_paths``: hubs, then
+    ``h.parts`` in order, each path from one end to the other. Raises
+    ``ConvergenceError`` when the residual cannot reach ``tol``.
     """
     if hubs not in (1, 2):
         raise ValueError("hubs must be 1 or 2")
     if tol <= 0:
         raise ValueError("tol must be positive")
     sizes = Counter(h.parts)  # distinct lengths, largest first
-    lengths = list(sizes)
-    cells = np.array([hubs] + [sizes[L] for L in lengths for _ in range(L)])
-    # link[k] = 1 when path cells k and k + 1 are consecutive positions of
-    # one path length (path cells are numbered from 0, after the hub cell)
-    link = np.ones(max(len(cells) - 2, 0))
-    link[np.cumsum(lengths[:-1], dtype=np.intp) - 1] = 0
-
-    def apply_q(y):
-        qy = np.empty_like(y)
-        qy[0] = (hubs - 1) * y[0] + (cells[1:] * y[1:]).sum()
-        qy[1:] = hubs * y[0]
-        qy[2:] += link * y[1:-1]
-        qy[1:-1] += link * y[2:]
-        return qy
-
-    top = len(cells) - 1
-    sym = np.zeros((top + 1, top + 1))
-    sym[0, 0] = hubs - 1
-    sym[0, 1:] = sym[1:, 0] = np.sqrt(hubs * cells[1:])
-    k = np.arange(1, top)
-    sym[k, k + 1] = sym[k + 1, k] = link
-    w, v = np.linalg.eigh(sym)
-    shift = np.longdouble(w[-1])
-    cl = cells.astype(np.longdouble)
-    link = link.astype(np.longdouble)
-    y = (np.abs(v[:, -1]) / np.sqrt(cells)).astype(np.longdouble)
-    best = None
+    q00 = np.longdouble(hubs - 1)  # Q[0, 0], the hub cell's own degree
+    # rho(K_hubs v (n - hubs) K_1) >= sqrt(L) > 2 cos(pi / (L + 1)) for every part L
+    lam = (q00 + np.sqrt(q00 * q00 + 4 * hubs * h.total)) / 2
     steps = 0
     while True:
-        qy = apply_q(y)
-        norm2 = (cl * y * y).sum()
-        rho = (cl * y * qy).sum() / norm2
-        res2 = (cl * (qy - rho * y) ** 2).sum() / norm2
-        if best is not None and res2 >= best[0]:
+        y = {L: hubs * _path_resolvent(L, lam) for L in sizes}
+        to_hub = sum(m * y[L].sum() for L, m in sizes.items())
+        sq = sum(m * (y[L] * y[L]).sum() for L, m in sizes.items())
+        step = lam - (lam - q00 - to_hub) / (1 + sq / hubs)  # lam - F / F'
+        if not step > lam or steps == _QUOTIENT_STEPS:
             break
-        best = (res2, rho, y)
-        if res2 == 0 or steps == _QUOTIENT_STEPS:
-            break
-        # every eigenvalue of Q lies in [-rho, rho], so with the shift near
-        # rho the others lie in about [0, rho + shift) and the steps
-        # converge toward y
-        y = qy + shift * y
-        y /= y.max()
-        steps += 1
-    res2, rho, y = best
-    rho64, slack = _rounding_slack(rho, len(cells))
+        lam, steps = step, steps + 1
+    qy = {L: hubs + np.convolve(yl, (1, 0, 1))[1:-1] for L, yl in y.items()}
+    qy0 = q00 + to_hub
+    norm2 = hubs + sq
+    rho = (hubs * qy0 + sum(m * (y[L] * qy[L]).sum() for L, m in sizes.items())) / norm2
+    res2 = (
+        hubs * (qy0 - rho) ** 2
+        + sum(m * ((qy[L] - rho * y[L]) ** 2).sum() for L, m in sizes.items())
+    ) / norm2
+    rho64, slack = _rounding_slack(rho, 1 + sum(sizes))
     residual = math.sqrt(float(res2)) + slack
-    starts = np.cumsum([1] + lengths[:-1], dtype=np.intp)
-    vertex_cell = np.concatenate(
-        [np.zeros(hubs, dtype=np.intp)]
-        + [np.tile(np.arange(s, s + L), sizes[L]) for s, L in zip(starts, lengths)]
-    )
-    perron, perron_max = _normalized(np.asarray(y, dtype=float)[vertex_cell])
+    tiles = [np.tile(y[L].astype(float), m) for L, m in sizes.items()]
+    perron, perron_max = _normalized(np.concatenate([np.ones(hubs)] + tiles))
     est = SpectralEstimate(rho64, residual, steps, perron, perron_max, "quotient")
     if residual > tol:
         raise ConvergenceError(

@@ -17,7 +17,7 @@ import pytest
 
 import spexlab
 from helpers import to_nx
-from spexlab.cli import main
+from spexlab.cli import _build_parser, main
 from spexlab.forbidden import ForbiddenSpec
 from spexlab.graph import complete, join, path
 from spexlab.graph6 import graph6_decode, graph6_encode
@@ -463,3 +463,22 @@ def test_verb_format_matrix(capsys, run, fmt):
         if fmt == "csv":
             out = re.sub(r",[0-9.]+$", ",0", out, flags=re.M)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == MATRIX[run, fmt]
+
+
+def test_unsupported_format_is_refused_before_the_verb_runs(tmp_path, capsys, monkeypatch):
+    seen = _record_suite_params(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--format", "g6")
+    assert (code, out, seen) == (1, "", {})
+    assert "--format g6 makes no sense for verify" in err
+    cfg = tmp_path / "g6.cfg"
+    cfg.write_text("format = g6\n")
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--config", str(cfg))
+    assert (code, out, seen) == (1, "", {})
+    assert "--format g6 makes no sense for verify" in err
+
+
+@pytest.mark.parametrize("run", list(MATRIX_RUNS))
+def test_handler_forms_are_the_declared_formats(run):
+    args = _build_parser().parse_args(list(MATRIX_RUNS[run]))
+    _, forms = args.handler(args)
+    assert sorted(forms) == sorted(args.formats)

@@ -10,6 +10,8 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -571,3 +573,127 @@ def test_quotient_degenerate_and_errors():
     with pytest.raises(ConvergenceError) as err:
         joined_paths_radius(1, PathPartition([5, 3, 1, 1]), tol=1e-25)
     assert err.value.best.path == "quotient"
+
+
+def reference_quotient_radius(hubs: int, h: PathPartition):
+    """The quotient solver ``joined_paths_radius`` used before its secular
+    equation: a dense float64 ``eigh`` of the symmetrized quotient
+    D^1/2 Q D^-1/2 (D = diag of the cell sizes), then shifted steps with
+    the exact integer Q in longdouble, keeping the step of least residual.
+    Returns rho and the unit Perron vector."""
+    sizes = Counter(h.parts)
+    lengths = list(sizes)
+    cells = np.array([hubs] + [sizes[L] for L in lengths for _ in range(L)])
+    link = np.ones(max(len(cells) - 2, 0))  # 1 between positions of one path
+    link[np.cumsum(lengths[:-1], dtype=np.intp) - 1] = 0
+
+    def apply_q(y):
+        qy = np.empty_like(y)
+        qy[0] = (hubs - 1) * y[0] + (cells[1:] * y[1:]).sum()
+        qy[1:] = hubs * y[0]
+        qy[2:] += link * y[1:-1]
+        qy[1:-1] += link * y[2:]
+        return qy
+
+    top = len(cells) - 1
+    sym = np.zeros((top + 1, top + 1))
+    sym[0, 0] = hubs - 1
+    sym[0, 1:] = sym[1:, 0] = np.sqrt(hubs * cells[1:])
+    k = np.arange(1, top)
+    sym[k, k + 1] = sym[k + 1, k] = link
+    w, v = np.linalg.eigh(sym)
+    shift = np.longdouble(w[-1])
+    cl = cells.astype(np.longdouble)
+    link = link.astype(np.longdouble)
+    y = (np.abs(v[:, -1]) / np.sqrt(cells)).astype(np.longdouble)
+    best = None
+    for _ in range(51):
+        qy = apply_q(y)
+        norm2 = (cl * y * y).sum()
+        rho = (cl * y * qy).sum() / norm2
+        res2 = (cl * (qy - rho * y) ** 2).sum() / norm2
+        if best is not None and res2 >= best[0]:
+            break
+        best = (res2, rho, y)
+        if res2 == 0:
+            break
+        y = qy + shift * y
+        y /= y.max()
+    _, rho, y = best
+    starts = np.cumsum([1] + lengths[:-1], dtype=np.intp)
+    vertex_cell = np.concatenate(
+        [np.zeros(hubs, dtype=np.intp)]
+        + [np.tile(np.arange(s, s + L), sizes[L]) for s, L in zip(starts, lengths)]
+    )
+    perron, _ = spectral._normalized(np.asarray(y, dtype=float)[vertex_cell])
+    return float(rho), perron
+
+
+def _reference_grid():
+    rnd = random.Random(15)
+    for _ in range(1000):
+        parts = [rnd.randint(1, 120) for _ in range(rnd.randint(0, 6))]
+        yield rnd.choice((1, 2)), PathPartition(parts + [1] * rnd.choice((0, 5, 100, 2000)))
+    for kind, hubs in (("k1hop", 1), ("k2hp", 2)):
+        for t in (2, 3):
+            for l in (4, 5):
+                for n in (100, 2000, 10**5, 10**6):
+                    yield hubs, family_partition(FamilySpec(kind, n, t=t, l=l))
+
+
+def exact_secular(hubs: int, h: PathPartition, lam: Fraction) -> Fraction:
+    """F(lam) = lam - (hubs - 1) - hubs sum_L m_L 1'(lam I - A(P_L))^-1 1 in
+    exact arithmetic, by the Thomas sweep; lam must lie above every path
+    eigenvalue, where F is increasing with its one root at rho."""
+    total = Fraction(0)
+    for length, m in Counter(h.parts).items():
+        piv, z, p, g = [], [], None, Fraction(0)
+        for _ in range(length):
+            p = lam if p is None else lam - 1 / p
+            g = (1 + g) / p
+            piv.append(p)
+            z.append(g)
+        for i in range(length - 2, -1, -1):
+            z[i] += z[i + 1] / piv[i]
+        total += m * sum(z)
+    return lam - (hubs - 1) - hubs * total
+
+
+# [DERIVED] the grid cases whose float64 rho differs from the reference's,
+# as (secular solver, reference); exact_secular shows the first is the
+# float64 nearest to rho and the reference one ulp off
+ROUNDED_DIFFERENTLY = {
+    (1, (79, 70, 26) + (1,) * 2000): ("0x1.75c10c66bdee2p+5", "0x1.75c10c66bdee1p+5"),
+}
+
+
+def test_secular_solver_matches_reference():
+    cases = 0
+    for hubs, h in _reference_grid():
+        est = joined_paths_radius(hubs, h)
+        rho, perron = reference_quotient_radius(hubs, h)
+        expected = ROUNDED_DIFFERENTLY.get((hubs, h.parts), (rho.hex(), rho.hex()))
+        assert (est.rho.hex(), rho.hex()) == expected, (hubs, str(h))
+        if est.rho != rho:  # rho lies within half an ulp of est.rho
+            half = Fraction(abs(est.rho - rho)) / 2
+            assert exact_secular(hubs, h, Fraction(est.rho) - half) < 0
+            assert exact_secular(hubs, h, Fraction(est.rho) + half) > 0
+        assert np.abs(est.perron - perron).max() <= 1e-14, (hubs, str(h))
+        assert est.iterations <= 10, (hubs, str(h))
+        cases += 1
+    assert cases == 1032
+
+
+def test_secular_solver_is_linear_in_the_path_length():
+    tracemalloc.start()
+    try:
+        joined_paths_radius(1, PathPartition([5000]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20  # the dense quotient alone holds 5001^2 float64s, 200 MB
+    h = PathPartition([20000])
+    est = joined_paths_radius(1, h)
+    a = adjacency_csr(joined_paths(1, h))
+    ref = float(spla.eigsh(a, k=1, which="LA")[0][0])
+    assert abs(est.rho - ref) <= 1e-12 * ref
