@@ -135,8 +135,18 @@ def _coerce(text: str):
 
 
 def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv over the verb's --config defaults. A key names one of
+    the verb's options, without the dashes; any other key is a usage
+    error."""
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
+        verb = parser.sub_map[args.subcommand]
+        dests = {
+            opt.lstrip("-").replace("-", "_"): action.dest
+            for action in verb._actions
+            if action.dest != "help"
+            for opt in action.option_strings
+        }
         defaults = {}
         try:
             fh = open(args.config)
@@ -150,11 +160,11 @@ def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
                 if "=" not in line:
                     raise UsageError(f"bad config line {raw.rstrip()!r}")
                 key, _, val = line.partition("=")
-                defaults[key.strip().replace("-", "_")] = _coerce(val.strip())
-        parser.set_defaults(**defaults)
-        # subparser defaults clobber the parent's, so set them there too
-        if args.subcommand in parser.sub_map:
-            parser.sub_map[args.subcommand].set_defaults(**defaults)
+                key = key.strip().replace("-", "_")
+                if key not in dests:
+                    raise UsageError(f"--config key {key!r} is not an option of {args.subcommand}")
+                defaults[dests[key]] = _coerce(val.strip())
+        verb.set_defaults(**defaults)
         args = parser.parse_args(argv)  # explicit flags still win
     return args
 

@@ -316,13 +316,28 @@ def all_l_cycles_at(g: Graph, v: int, l: int) -> list[frozenset[tuple[int, int]]
 def max_edge_disjoint_l_cycles_at(g: Graph, v: int, l: int, cap: int) -> int:
     """Largest k <= cap of pairwise edge-disjoint l-cycles through v.
 
-    Each cycle becomes the bitmask of its edges, edge uw (u < w) as bit
-    u * n + w, so edge-disjoint cycles are disjoint masks and the bouquet
-    packer decides each k in turn; intended for desk-scale graphs (the
-    cycle list through v must stay small).
+    The walk's sink turns each cycle into the bitmask of its edges, edge
+    uw (u < w) as bit u * n + w, so edge-disjoint cycles are disjoint masks
+    and the bouquet packer decides each k in turn; intended for desk-scale
+    graphs (the cycle list through v must stay small).
     """
     n = g.n
-    masks = [sum(1 << u * n + w for u, w in c) for c in all_l_cycles_at(g, v, l)]
+    masks: list[int] = []
+
+    def bit(u: int, w: int) -> int:
+        return 1 << (u * n + w if u < w else w * n + u)
+
+    def keep(path: list[int], inner: int, ends: int) -> None:
+        m, prev = 0, v
+        for w in path:
+            m |= bit(prev, w)
+            prev = w
+        while ends:
+            z = ends.bit_length() - 1
+            ends ^= 1 << z
+            masks.append(m | bit(prev, z) | bit(z, v))
+
+    _walk_hub_cycles(g.rows(), v, l, keep)
     best = 0
     while best < cap and _pack_hub_cycles(masks, best + 1) is not None:
         best += 1

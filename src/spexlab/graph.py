@@ -158,22 +158,31 @@ class Graph:
         return Graph._derived(self.n, rows)
 
     def _reach(self, s: int) -> int:
-        """Bitmask of the vertices in the component of vertex s."""
+        """Bitmask of the vertices in the component of vertex s.
+
+        A frontier of few vertices is peeled bit by bit; a wide one, such
+        as the leaves of a hub, is listed by ``_listed``, since each peel
+        of a wide mask costs a pass over all its digits."""
+        rows = self._rows
         comp = frontier = 1 << s
         while frontier:
             nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                nxt |= self._rows[v]
-                f &= f - 1
-            frontier = nxt & ~comp
-            comp |= frontier
+            if frontier < _NARROW or frontier.bit_count() < _WIDE:
+                f = frontier
+                while f:  # from the top: bit_length reads no digits
+                    v = f.bit_length() - 1
+                    nxt |= rows[v]
+                    f ^= 1 << v
+            else:
+                for v in _listed(frontier):
+                    nxt |= rows[v]
+            nxt |= comp
+            frontier = nxt ^ comp
+            comp = nxt
         return comp
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, by smallest vertex."""
-        full = (1 << self.n) - 1
         seen = 0
         out = []
         for s in range(self.n):
@@ -181,8 +190,7 @@ class Graph:
                 continue
             comp = self._reach(s)
             seen |= comp
-            # _bits costs O(n) digits a vertex, so a full mask is listed directly
-            out.append(list(range(self.n)) if comp == full else _bits(comp))
+            out.append(_bits(comp) if comp.bit_count() < _WIDE else _listed(comp))
         return out
 
     def is_connected(self) -> bool:
@@ -192,6 +200,19 @@ class Graph:
 def _check_order(n: int) -> None:
     if n < 0 or n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+
+
+_WIDE = 64  # popcount from which _listed beats peeling the bits one by one
+_NARROW = 1 << _WIDE  # masks below it have fewer than _WIDE bits: no count needed
+
+
+def _listed(mask: int) -> list[int]:
+    """The set bits of mask, ascending, unpacked by numpy from its bytes:
+    one pass over the digits however many bits are set."""
+    import numpy as np  # here, so that importing spexlab stays numpy-free
+
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) >> 3, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 
 
 def _bits(mask: int) -> list[int]:

@@ -1,12 +1,24 @@
 """Certified spectral-radius estimates and the paper-family bound checks.
 
-The solver is shifted power iteration (A + I, degree-vector start) with a
-Rayleigh-quotient estimate each step. ``residual`` is ||A x - rho x||_2
-for the unit iterate x; for a symmetric matrix some eigenvalue lies within
-residual of rho. That it is the spectral radius rests on a convergence
-argument (positive iterates tend to the Perron branch), not a proof, so
-the upper side is not yet rigorous (ROADMAP item 1). Strict comparisons
-must clear the sum of both residuals or they are reported indeterminate.
+``spectral_radius`` picks one of two routes for each connected component
+before iterating. B = gamma_(Delta+2) * 2 rho_ub (``_float64_floor``)
+bounds the float64 rounding of the power path's residual; Delta is the
+component's largest degree and rho_ub = min(Delta, sqrt(2m - n + 1)).
+When B <= tol / 2, shifted power iteration (A + I, degree-vector start)
+runs in float64. When B > tol / 2, float64 cannot certify tol, so the
+component goes straight to the longdouble solve ``_polish``: Rayleigh-Ritz
+steps on span{x, A x - rho x} from the degree vector, certified in
+longdouble. The same solve takes over when a float64 run stalls above
+tol. At the default tol every graph on up to 16 vertices takes the float64
+route; hub joins with thousands of vertices, and strict tols, take the
+longdouble one.
+
+``residual`` is ||A x - rho x||_2 for the unit vector x returned; for a
+symmetric matrix some eigenvalue lies within residual of rho. That it is
+the spectral radius rests on a convergence argument (positive iterates
+tend to the Perron branch), not a proof, so the upper side is not yet
+rigorous (ROADMAP item 1). Strict comparisons must clear the sum of both
+residuals or they are reported indeterminate.
 
 Hub-joined path families K_h v (disjoint paths) have an equitable
 partition, so ``joined_paths_radius`` solves their secular equation, one
@@ -33,9 +45,12 @@ MAX_ITERATIONS = 10**6
 @dataclass
 class SpectralEstimate:
     """``path`` names the solver that produced the estimate: "power"
-    (float64 iteration only), "polish" (float64 iteration, then the
-    longdouble polish) or "quotient" (``joined_paths_radius``).
-    ``iterations`` counts power and polish steps; on "quotient", Newton steps."""
+    (float64 power iteration only), "polish" (the longdouble Rayleigh-Ritz
+    solve: straight from the degree vector when the float64 rounding bound
+    B exceeds tol / 2, or after a float64 run that stalled above tol) or
+    "quotient" (``joined_paths_radius``). ``iterations`` counts float64
+    power steps plus Rayleigh-Ritz steps, summed over the components; on
+    "quotient", Newton steps."""
 
     rho: float
     residual: float
@@ -151,19 +166,20 @@ def spectral_radius(
 
 
 def _power_iterate(a: sp.csr_matrix, tol: float, budget: int):
-    """Shifted power iteration on the adjacency matrix of one connected
-    component (n >= 2).
-
-    Stops at residual <= tol, or at the float64 rounding floor: when the
-    residual has not improved for a stretch of iterations the best iterate
-    is taken (its residual is still a sound certificate). If that floor
-    sits above the requested tol, a longdouble polish pass continues the
-    iteration in 80-bit arithmetic, which lowers the certificate floor by
-    roughly three orders of magnitude; the result counts as converged only
-    if the polished residual reaches tol.
+    """rho, residual, unit Perron vector, steps, whether it converged, and
+    the path of one connected component (n >= 2), by the route the module
+    docstring describes. The longdouble route gets the whole budget, like
+    the float64 loop it replaces. That loop stops at residual <= tol, or
+    at the float64 rounding floor: when the residual has not improved for
+    200 iterations the best iterate is taken (its residual is still a
+    sound certificate), and if it sits above tol, ``_polish`` continues
+    from it for at most ``_POLISH_BUDGET`` steps.
     """
-    x = np.diff(a.indptr).astype(float)
-    x /= np.linalg.norm(x)
+    deg = np.diff(a.indptr)
+    x = deg / np.linalg.norm(deg)
+    if _float64_floor(deg) > tol / 2:
+        rho, res, x, iters = _polish(a, x, tol, budget)
+        return rho, res, x, iters, res <= tol, "polish"
     best = (math.inf, 0.0, x)  # residual, rho, iterate
     since_improvement = 0
     iters = 0
@@ -179,14 +195,36 @@ def _power_iterate(a: sp.csr_matrix, tol: float, budget: int):
         if res <= tol or since_improvement >= 200:
             res, rho, x = best
             if res > tol:
-                rho, res, x, extra = _polish(a, x, tol, budget - iters)
-                return rho, res, np.abs(x), iters + extra, res <= tol, "polish"
+                rho, res, x, extra = _polish(a, x, tol, min(budget - iters, _POLISH_BUDGET))
+                return rho, res, x, iters + extra, res <= tol, "polish"
             return rho, res, np.abs(x), iters, True, "power"
         y = ax + x  # shift by +I keeps the top eigenvalue dominant
         x = y / np.linalg.norm(y)
         iters += 1
     res, rho, x = best
     return rho, res, np.abs(x), iters, res <= tol, "power"
+
+
+def _float64_floor(deg: np.ndarray) -> float:
+    """B = gamma_(Delta+2) * 2 rho_ub, a bound on the float64 rounding of
+    the power path's residual vector A x - rho x at a unit nonnegative
+    iterate x of a connected graph with degree sequence ``deg``.
+
+    gamma_k = k u / (1 - k u) with u = 2^-53 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 3.1). Row i of A x sums at most
+    Delta nonnegative terms, so its computed value is off by at most
+    gamma_Delta (A x)_i; the product rho x_i adds u rho x_i and the
+    subtraction one more rounding, so entry i of the computed residual is
+    off by at most gamma_(Delta+2) ((A x)_i + rho x_i). In 2-norm that is
+    at most gamma_(Delta+2) (||A x|| + rho) <= gamma_(Delta+2) 2 lambda_max,
+    and lambda_max <= rho_ub = min(Delta, sqrt(2m - n + 1)) for a connected
+    graph on n vertices and m edges (Hong's bound). When B > tol / 2 the
+    rounding alone can cover half of tol, so float64 cannot certify it.
+    """
+    delta = int(deg.max())
+    rho_ub = min(delta, math.sqrt(int(deg.sum()) - len(deg) + 1))
+    k = (delta + 2) * 2.0**-53
+    return k / (1 - k) * 2 * rho_ub
 
 
 def _normalized(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,38 +273,58 @@ _POLISH_BUDGET = 1000
 
 
 def _polish(a: sp.csr_matrix, x: np.ndarray, tol: float, budget: int):
-    """Continue the shifted iteration in longdouble past the float64 floor.
+    """Rayleigh-Ritz ascent in longdouble from x: rho, its certificate,
+    the certified unit Perron vector and the number of steps.
 
-    The matvec floor in float64 is around n * eps * rho, which for dense-hub
-    graphs near n=2000 lands at ~1e-11 -- above the ~1e-12 rho gaps the
-    strict comparisons need to certify. Polishing costs a handful of O(m)
-    passes because the float64 iterate is already direction-converged.
-    Each step is the CSR product on a longdouble copy of ``a`` (rows
-    summed in ascending column order); inner products and norms use
-    ``.sum()``, not numpy's ``@`` on dense longdouble arrays.
+    With rho = x'Ax for the unit iterate x and r = A x - rho x, each step
+    replaces x by the larger Ritz vector of span{x, p}, p = r / ||r||. In
+    that orthonormal basis A projects to [[rho, ||r||], [||r||, p'Ap]],
+    whose larger eigenvalue theta exceeds rho by ||r||^2 / (h + sqrt(h^2
+    + ||r||^2)), h = (rho - p'Ap) / 2, a form without cancellation (for
+    h < 0 it is sqrt(h^2 + ||r||^2) - h); its eigenvector is x + tau p
+    with tau = (theta - rho) / ||r||. This is steepest ascent of the
+    Rayleigh quotient with an exact line search (Parlett, *The Symmetric
+    Eigenvalue Problem*, ch. 11). Unlike the shifted power step it clears
+    an eigenvalue near -rho as fast as the rest of the spectrum, so a hub
+    join takes a handful of steps where the power step takes hundreds.
+
+    A x is carried along as the same combination, so a step costs one
+    product, A p, on a longdouble copy of ``a`` (rows summed in ascending
+    column order); inner products and norms use ``.sum()``, not numpy's
+    ``@`` on dense longdouble arrays. The loop stops at residual <= tol / 2,
+    after 50 steps without improvement (the longdouble floor), or after
+    ``budget`` steps. The iterate of least residual is rounded to float64,
+    taken entrywise absolute and certified by ``_longdouble_certificate``,
+    so the certificate holds for the vector returned.
     """
     al = a.astype(np.longdouble)
     xl = x.astype(np.longdouble)
     xl /= np.sqrt((xl * xl).sum())
+    ax = al @ xl
     best = (np.inf, xl)
     since_improvement = 0
     iters = 0
-    cap = min(budget, _POLISH_BUDGET)
-    while iters < cap:
-        ax = al @ xl
+    while True:
         rho = (xl * ax).sum()
-        res = np.sqrt(((ax - rho * xl) ** 2).sum())
+        r = ax - rho * xl
+        res = np.sqrt((r * r).sum())
         if res < best[0]:
             best = (res, xl)
             since_improvement = 0
         else:
             since_improvement += 1
-        if res <= tol * 0.5 or since_improvement >= 50:
+        if res <= tol * 0.5 or since_improvement >= 50 or iters >= budget:
             break
-        y = ax + xl
-        xl = y / np.sqrt((y * y).sum())
+        p = r / res
+        ap = al @ p
+        h = (rho - (p * ap).sum()) / 2
+        root = np.sqrt(h * h + res * res)
+        tau = res / (h + root) if h > 0 else (root - h) / res  # (theta - rho) / ||r||
+        y = xl + tau * p
+        scale = 1 / np.sqrt((y * y).sum())
+        xl, ax = y * scale, (ax + tau * ap) * scale
         iters += 1
-    x64 = np.asarray(best[1], dtype=float)
+    x64 = np.abs(np.asarray(best[1], dtype=float))
     x64 /= np.linalg.norm(x64)
     rho, res = _longdouble_certificate(al, x64)
     return rho, res, x64, iters

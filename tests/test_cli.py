@@ -384,6 +384,33 @@ def test_config_file_supplies_and_cli_overrides(tmp_path, capsys):
     assert run_cli(capsys, "rho", "--config", str(bad))[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (("rho", "--family", "star:n=5"), "handler = x"),
+        (("verify", "--suite", "all", "--format", "g6"), "formats = g6"),
+        (("rho", "--family", "star:n=5"), "suite = all"),  # an option of another verb
+        (("check", "--family", "star:n=5"), "klass = planar"),  # a dest, not an option
+    ],
+    ids=["handler", "formats", "other-verb", "dest"],
+)
+def test_config_key_that_is_no_option_of_the_verb_exits_1(tmp_path, capsys, monkeypatch, argv, line):
+    seen = _record_suite_params(monkeypatch)
+    cfg = tmp_path / "keys.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out, seen) == (1, "", {})
+    assert err.startswith("usage error:") and repr(line.split()[0]) in err
+
+
+def test_config_key_names_the_option_not_its_dest(tmp_path, capsys):
+    # --class stores into args.klass
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text("class = planar\n")
+    code, out, _ = run_cli(capsys, "check", "--family", "wheel:n=7", "--config", str(cfg))
+    assert (code, out) == (0, "planar=True\n")
+
+
 def test_console_entry_point_smoke():
     # The child imports the same spexlab as these tests, installed or not.
     src = str(Path(spexlab.__file__).resolve().parent.parent)

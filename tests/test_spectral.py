@@ -274,9 +274,11 @@ def test_convergence_error_carries_best():
 
 # spectral_radius outputs pinned bit for bit: rho.hex(), residual.hex(),
 # iterations, path and the SHA-256 of perron.tobytes(). The families at
-# n = 2000 take the float64 path at 1e-10 and the polish at 1e-13, the
-# unions go through components, and the atlas graphs at 1e-16 mostly end
-# on the polish floor above tol (read from ConvergenceError.best).
+# n = 2000 take the float64 path at 1e-10; at 1e-13 their float64 rounding
+# bound exceeds tol / 2, so they go straight to the longdouble
+# Rayleigh-Ritz solve, as do the unions' hub components at 1e-13 and every
+# atlas graph at 1e-16. The atlas graphs mostly end on the longdouble floor
+# above tol (read from ConvergenceError.best).
 def golden_graph(name: str) -> Graph:
     if name.startswith("atlas-"):
         G = nx.graph_atlas(int(name[len("atlas-"):]))
@@ -295,61 +297,61 @@ def golden_graph(name: str) -> Graph:
 GOLDEN = [
     ('star', 1e-10, '0x1.65ae71b46e8aap+5', '0x1.9ec23b7852cdep-34', 614, 'power',
      '827694151e6396aeead9b9f2d26b72c14a93154c1c769a78c56a3e84671de0de'),
-    ('star', 1e-13, '0x1.65ae71b46e82ep+5', '0x1.1df826a4e4cd7p-44', 987, 'polish',
-     'dbe46735b340a106af2af0c262a3c7a713a247b524c32bdc8891db54d105bbda'),
+    ('star', 1e-13, '0x1.65ae71b46e82ep+5', '0x1.1b12928a3b5f1p-46', 1, 'polish',
+     'ae26c4662a276725cc40cc85db860c329774dff198fea93db2bfe717b323948f'),
     ('k1hop', 1e-10, '0x1.6b144c1194005p+5', '0x1.b4717ad0ace04p-34', 368, 'power',
      'f1ca92384fb61844927ed0588def801977010be5e913e8c0c82689d3fc31f409'),
-    ('k1hop', 1e-13, '0x1.6b144c1193f84p+5', '0x1.16f7e9a9daa4ap-44', 681, 'polish',
-     '72b45a98b6b3ca93c3d510ecfc5912e187ae865d1bca2fbb7639169b8dd12225'),
+    ('k1hop', 1e-13, '0x1.6b144c1193f84p+5', '0x1.435a709898d76p-45', 12, 'polish',
+     'dcdaead44b7214a5b7f1b6781dcbe55720f2e050ee1be20268fb9544247c5903'),
     ('k2hp', 1e-10, '0x1.018833792b0eap+6', '0x1.a4ac98b35b665p-34', 405, 'power',
      'd2720f65e86cbd5423e2d4cf16014512c3595a75f7a855a3e5fbb80ae3362625'),
-    ('k2hp', 1e-13, '0x1.018833792b0b9p+6', '0x1.57d05f3888710p-44', 723, 'polish',
-     '4cdbe987983568f685f16014a8fabae626b8a503461a682c57e87af7a1cd6483'),
-    ('union', 1e-13, '0x1.a231615d7831ap+2', '0x1.408cfa8b9a70ep-44', 141, 'power',
-     '6efccc9fb908e9a72867549fd9e852314a87068cd9b3c58b77725846416dc694'),
+    ('k2hp', 1e-13, '0x1.018833792b0b9p+6', '0x1.3b765f1e379a0p-45', 10, 'polish',
+     'd26a13e17b5a68a1ff5d1981e15b6f2e69607dd4cc046ef1eccef21a87fa929e'),
+    ('union', 1e-13, '0x1.a231615d7831ap+2', '0x1.8fbe8d9e6e774p-45', 124, 'polish',
+     '91bc12bfbc9c5ff5bba3e38cc251c3848ad5247df09768deba46646b874c7205'),
     ('union', 1e-10, '0x1.a231615d78319p+2', '0x1.edd331ce57481p-35', 108, 'power',
      'fc77dc6fdd0356ab0a4bdfc3a31d90d2e5542cf64888a3c82624beb617bffe71'),
-    ('union-k2hp', 1e-13, '0x1.996cd9cd2a14fp+4', '0x1.b62fba896d575p-45', 493, 'polish',
-     '046b0badfafad25ecd891bb7af98b1b35a5dc2826c99419f80ad45534a9273aa'),
-    ('atlas-60', 1e-16, '0x1.6a09e667f3bcdp+0', '0x1.bf15db1140fe7p-53', 421, 'polish',
+    ('union-k2hp', 1e-13, '0x1.996cd9cd2a14fp+4', '0x1.ba729d769e9f7p-46', 114, 'polish',
+     'a4005a5ff9f6c99f1d9fcb51d86e90a406e56ac3f47a969a9e9efac078adc252'),
+    ('atlas-60', 1e-16, '0x1.6a09e667f3bcdp+0', '0x1.bf15db1140fe7p-53', 1, 'polish',
      '4a0833f09d00996094307ac89ca11dada6dd68926aac86075bb6592d625fc94f'),
-    ('atlas-120', 1e-16, '0x1.5a50aa7723b1bp+1', '0x1.5295496e875f7p-53', 263, 'polish',
+    ('atlas-120', 1e-16, '0x1.5a50aa7723b1bp+1', '0x1.5295496e875f7p-53', 44, 'polish',
      '0e800c34dac945f916ce27afc202d896cb32b8fa53c5766fef9cc6a9af85ab95'),
-    ('atlas-180', 1e-16, '0x1.cbdaccc4182f8p+1', '0x1.979353dd2e5dcp-53', 225, 'polish',
+    ('atlas-180', 1e-16, '0x1.cbdaccc4182f8p+1', '0x1.979353dd2e5dcp-53', 9, 'polish',
      '2f6371d7d7403f2a48fda6b2e7d67387e4e3d3879c356a9a3f9656ec2f8c4f02'),
-    ('atlas-240', 1e-16, '0x1.cd4bca9cb5c71p+0', '0x1.9f0c77846047ep-53', 255, 'polish',
-     'b87ce45eb880b50e6e777248cc06a5709333525258ee7a1374bc2be5f4d65e0e'),
-    ('atlas-300', 1e-16, '0x1.5ac988f451f30p+1', '0x1.0e3dc633de417p-53', 231, 'polish',
+    ('atlas-240', 1e-16, '0x1.cd4bca9cb5c71p+0', '0x1.19e9f193f7dc5p-53', 29, 'polish',
+     '4c624d1677ea26f82463be13909f69ece89a191e437b846cfbc34d4a37ab31e7'),
+    ('atlas-300', 1e-16, '0x1.5ac988f451f30p+1', '0x1.0e3dc633de417p-53', 9, 'polish',
      'ebee380e905845beaa3e32c7e1ce3cf627e66a02ea03245bfc065412db89c5e4'),
-    ('atlas-360', 1e-16, '0x1.8599344fc75e3p+1', '0x1.a49153fe48a1ap-53', 232, 'polish',
+    ('atlas-360', 1e-16, '0x1.8599344fc75e3p+1', '0x1.a49153fe48a1ap-53', 26, 'polish',
      '4f99e9edd07dcefd9c4720490f40727ece1debc8aea4820bdccb2f5df932c769'),
-    ('atlas-420', 1e-16, '0x1.5db3d742c2655p+1', '0x1.0000000000000p-54', 57, 'power',
-     'c6ea4f1261f28fcee8541aaf9108f09121491b45d865b26a247de711924ab106'),
-    ('atlas-480', 1e-16, '0x1.92888a323002cp+1', '0x1.25c1f7c79f383p-52', 244, 'polish',
+    ('atlas-420', 1e-16, '0x1.5db3d742c2655p+1', '0x1.76451c4b7a03ep-52', 45, 'polish',
+     '64202f0948f22fe5965fd5da3d1e0c4388a0f9fd5cce6f677de39ad3ebbda9db'),
+    ('atlas-480', 1e-16, '0x1.92888a323002cp+1', '0x1.25c1f7c79f383p-52', 40, 'polish',
      '9302b1521e7588270195f0547b596e1260d982d74431f03e5951feea61d1cd48'),
-    ('atlas-540', 1e-16, '0x1.6c3c4f3e57785p+1', '0x1.6545001ee445ap-52', 263, 'polish',
-     '0cc457f49506702d9d0e231a591e2375b511574a3a82586062885eea3fce186b'),
-    ('atlas-600', 1e-16, '0x1.bac8958296d6ap+1', '0x1.a4e4445fa1a80p-52', 239, 'polish',
-     '9444bfc55567440af3d947620bfbac2408e2dab9dc0af6a06a20b72c52eaa3a7'),
-    ('atlas-660', 1e-16, '0x1.9c9616659ef9ep+1', '0x1.abc806678f14ap-53', 253, 'polish',
-     'a99ed6b7d408cca2d2684e6c1c9c1adcf177408b3f03c04b5c59f106e6d4456e'),
-    ('atlas-720', 1e-16, '0x1.7ccfe7374eba6p+1', '0x0.0p+0', 63, 'power',
-     '002fa463f73b79cf6b61301fa21df6705f9051f643986f4add877c0bd05b5b3f'),
-    ('atlas-780', 1e-16, '0x1.bb1391ab68bb4p+1', '0x1.7d752b761dc13p-53', 241, 'polish',
-     '72085bc0d06f1022bb6c852df329389e8c4b86cff1d19852de012e9e9f2c8cef'),
-    ('atlas-840', 1e-16, '0x1.ad4b2578f680ap+1', '0x0.0p+0', 25, 'power',
-     '6de7ab8ce9a3a1b9b6c1c3810f2dd66f66d65b762307e58e4bd2140284df6871'),
-    ('atlas-900', 1e-16, '0x1.f4c665a9c487cp+1', '0x1.b087c4d5ac921p-53', 243, 'polish',
+    ('atlas-540', 1e-16, '0x1.6c3c4f3e57785p+1', '0x1.188399e32a68bp-52', 52, 'polish',
+     'a5149ea98dd315d3cc8a9308ab1ebe8bb3f9eaff00cb096497976480c38593e9'),
+    ('atlas-600', 1e-16, '0x1.bac8958296d6ap+1', '0x1.1b0ae4da9cb8ep-52', 33, 'polish',
+     'a629fe6196506acb9adccfb6466be5ac80d18d09248c60022b32495b9e4f386d'),
+    ('atlas-660', 1e-16, '0x1.9c9616659ef9ep+1', '0x1.56976fd62e74ep-53', 46, 'polish',
+     '4864c95d7159325951de4ca3a1238d09742dea8f57c802fc8eb23ef36cdd992d'),
+    ('atlas-720', 1e-16, '0x1.7ccfe7374eba7p+1', '0x1.8b7c8413241fcp-52', 58, 'polish',
+     'f4fdbe5c482f04050c90658a552be6870d7aa5fbfb57c8d26214a682932bfc4a'),
+    ('atlas-780', 1e-16, '0x1.bb1391ab68bb4p+1', '0x1.01e4fa498016dp-53', 37, 'polish',
+     'f2cfcfa8a72b4677a77a4b74dd0c92eaa76ccf5bfc55dae6c196c1cd2b39707a'),
+    ('atlas-840', 1e-16, '0x1.ad4b2578f680ap+1', '0x1.4115364f43b58p-53', 19, 'polish',
+     'cc37e9998f150e2372d709ee465d4ae9e2f58021e29075d03b1f40806d213ec6'),
+    ('atlas-900', 1e-16, '0x1.f4c665a9c487cp+1', '0x1.b087c4d5ac921p-53', 35, 'polish',
      'ad09b77b7f530e793088e670bbeffeb0ea4b39045dbfa6a3950db52187564ff9'),
-    ('atlas-960', 1e-16, '0x1.cc2e3c5eb32d5p+1', '0x1.6cc9d47bf15a0p-52', 241, 'polish',
+    ('atlas-960', 1e-16, '0x1.cc2e3c5eb32d5p+1', '0x1.6cc9d47bf15a0p-52', 37, 'polish',
      '60b829c6d3be1f46932078da8f534a5e95ef16d11bfa271f9c9622be3b1059f7'),
-    ('atlas-1020', 1e-16, '0x1.072c12ff6ed16p+2', '0x1.04215eb4fece9p-51', 236, 'polish',
+    ('atlas-1020', 1e-16, '0x1.072c12ff6ed16p+2', '0x1.04215eb4fece9p-51', 28, 'polish',
      'af00b78b6f94ce9f8bddebb951fffc340c179332f7eded315e0bf968de62829f'),
-    ('atlas-1080', 1e-16, '0x1.f569a09eb532ap+1', '0x1.1be5f4581a8f7p-51', 217, 'polish',
-     '4d0d3e19edaa5a934e3d48cd238b4cc487f01742e02cc488be80ff712ebfa857'),
-    ('atlas-1140', 1e-16, '0x1.0df6c55bcd693p+2', '0x1.1d291e7d81e92p-51', 236, 'polish',
+    ('atlas-1080', 1e-16, '0x1.f569a09eb532ap+1', '0x1.557fd6272b1f2p-53', 9, 'polish',
+     '6d74c563c3d82709bb3644b37aec659bf65a72d1d36bd74acc80126b1b55ee9a'),
+    ('atlas-1140', 1e-16, '0x1.0df6c55bcd693p+2', '0x1.1d291e7d81e92p-51', 13, 'polish',
      '33468ff1659ece09f5ee2d57cd0bf95928b482e53c0cb194fa11f9c01c54253e'),
-    ('atlas-1200', 1e-16, '0x1.18aee7e07347cp+2', '0x1.f1cdff96e7596p-52', 234, 'polish',
+    ('atlas-1200', 1e-16, '0x1.18aee7e07347cp+2', '0x1.f1cdff96e7596p-52', 29, 'polish',
      'f0c0683ae7f5e4861f3c90b91e6090f39f0f239da8c122c8513cfb6a0a9bace4'),
 ]
 
@@ -370,6 +372,48 @@ def test_pinned_outputs(name, tol, rho, residual, iterations, path_used, perron_
     assert est.iterations == iterations
     assert est.path == path_used
     assert hashlib.sha256(est.perron.tobytes()).hexdigest() == perron_sha256
+
+
+def test_default_tol_keeps_small_graphs_on_the_float64_path():
+    # search scores every graph at the default tol; its byte-identical
+    # reports rest on these staying on the float64 path
+    graphs = [from_edges(G.number_of_nodes(), G.edges()) for G in nx.graph_atlas_g()[1:]]
+    rnd = random.Random(16)
+    graphs += [random_graph(rnd, rnd.randint(2, 16), rnd.random()) for _ in range(300)]
+    graphs += [complete(16), star(16), join(complete(2), path(14))]
+    for g in graphs:
+        assert spectral_radius(g).path == "power", g
+
+
+@pytest.mark.parametrize(
+    "name,params,hubs",
+    [("star", {}, 1), ("k1hop", {"t": 2, "l": 5}, 1), ("k2hp", {"t": 3, "l": 5}, 2)],
+)
+def test_hub_joins_at_scale_take_the_longdouble_solve(name, params, hubs):
+    spec = FamilySpec(name, 10**4, **params)
+    g = construct(spec)
+    deg = np.diff(adjacency_csr(g).indptr)
+    delta, m = g.n - 1, g.edge_count()
+    k = (delta + 2) * 2.0**-53
+    floor = k / (1 - k) * 2 * min(delta, math.sqrt(2 * m - g.n + 1))
+    assert spectral._float64_floor(deg) == floor > spectral.DEFAULT_TOL / 2
+    est = spectral_radius(g)
+    assert est.path == "polish" and est.iterations <= 50
+    assert est.residual <= spectral.DEFAULT_TOL
+    quo = joined_paths_radius(hubs, family_partition(spec), 1e-13)
+    assert abs(est.rho - quo.rho) <= est.residual + quo.residual
+
+
+def test_longdouble_route_is_capped_by_max_iterations(monkeypatch):
+    # it replaces the float64 loop, so it shares that loop's cap;
+    # _POLISH_BUDGET caps only the polish after a float64 stall
+    monkeypatch.setattr(spectral, "_POLISH_BUDGET", 2)
+    big = construct(FamilySpec("k1hop", 2000, t=2, l=5))
+    est = spectral_radius(big, tol=1e-13)
+    assert est.path == "polish" and est.iterations > 2
+    with pytest.raises(ConvergenceError) as err:
+        spectral_radius(big, tol=1e-13, max_iterations=2)
+    assert err.value.best.iterations == 2
 
 
 def test_polish_floor_above_tol_raises():
@@ -497,15 +541,18 @@ CROSS_CHECK = [
     (2, family_partition(FamilySpec("k2hp", 3000, t=3, l=5)).parts),
     (1, (3,) * 600 + (1,)),
     (2, (4,) * 700 + (2, 2, 2)),
+    # at 1e-13 these two take the longdouble route, whose certificate
+    # covers the rounding of rho; the float64 path would leave rho outside
+    # its own residual, by up to 7.7e-13 at n = 3000
+    (2, (600,)),
+    (1, (2999,)),
 ]
-# spectral_radius stops on a float64 residual, which does not cover the
-# rounding of its float64 Rayleigh quotient; on these its rho sits outside
-# its own residual, by up to 7.7e-13 at n = 3000
+# the float64 path stops on a residual that does not cover the rounding of
+# its float64 Rayleigh quotient; on these its rho sits outside its own
+# residual
 GENERIC_ROUNDING_DEFECTS = [
     (1, (2,)),  # K_3 as K1 v P2
     (2, (1,)),  # K_3 as K2 v P1
-    (2, (600,)),
-    (1, (2999,)),
 ]
 ALL_CASES = CROSS_CHECK + GENERIC_ROUNDING_DEFECTS
 CASE_IDS = [f"hub{hubs}-n{sum(parts) + hubs}-q{len(parts)}" for hubs, parts in ALL_CASES]
