@@ -14,6 +14,8 @@ class Graph:
     ``row(i)`` is 1 iff ij is an edge. Rows must be symmetric and
     irreflexive; the constructor checks them, while operations that derive
     a graph from valid graphs build it through ``_derived`` unchecked.
+    Every layer that needs neighbour indices reads them from
+    ``adjacency()``, which is built on each call and not stored.
     Instances are immutable; all edits produce new graphs.
     """
 
@@ -91,14 +93,29 @@ class Graph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self._rows) // 2
 
+    def adjacency(self) -> list[list[int]]:
+        """Ascending neighbour lists. Each row is walked only above its own
+        vertex, shifted down by u + 1 so that the ints stay short even
+        where a row reaches a hub at bit 0, and every edge is recorded at
+        both ends: the lower end's list gets it first, in ascending order."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, r in enumerate(self._rows):
+            r >>= u + 1
+            w = u
+            while r:
+                k = (r & -r).bit_length()
+                w += k
+                adj[u].append(w)
+                adj[w].append(u)
+                r >>= k
+        return adj
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) pairs with u < v, lexicographic order."""
-        for u in range(self.n):
-            r = self._rows[u] >> (u + 1) << (u + 1)
-            while r:
-                v = (r & -r).bit_length() - 1
-                yield (u, v)
-                r &= r - 1
+        for u, nbrs in enumerate(self.adjacency()):
+            for v in nbrs:
+                if v > u:
+                    yield u, v
 
     def add_edge(self, u: int, v: int) -> Graph:
         """New graph with edge uv added; error if present or invalid."""
@@ -132,15 +149,8 @@ class Graph:
         if vs and not (0 <= vs[0] and vs[-1] < self.n):
             raise ValueError("vertices out of range")
         index = {v: i for i, v in enumerate(vs)}
-        rows = [0] * len(vs)
-        for v, i in index.items():
-            r = self._rows[v]
-            while r:
-                w = (r & -r).bit_length() - 1
-                j = index.get(w)
-                if j is not None:
-                    rows[i] |= 1 << j
-                r &= r - 1
+        adj = self.adjacency()
+        rows = [sum(1 << index[w] for w in adj[v] if w in index) for v in vs]
         return Graph._derived(len(vs), rows)
 
     def relabel(self, perm: Sequence[int]) -> Graph:
@@ -148,71 +158,55 @@ class Graph:
         if sorted(perm) != list(range(self.n)):
             raise ValueError("perm is not a permutation of the vertices")
         rows = [0] * self.n
-        for i, r in enumerate(self._rows):
-            new_row = 0
-            while r:
-                j = (r & -r).bit_length() - 1
-                new_row |= 1 << perm[j]
-                r &= r - 1
-            rows[perm[i]] = new_row
+        for i, nbrs in enumerate(self.adjacency()):
+            rows[perm[i]] = sum(1 << perm[j] for j in nbrs)
         return Graph._derived(self.n, rows)
-
-    def _reach(self, s: int) -> int:
-        """Bitmask of the vertices in the component of vertex s.
-
-        A frontier of few vertices is peeled bit by bit; a wide one, such
-        as the leaves of a hub, is listed by ``_listed``, since each peel
-        of a wide mask costs a pass over all its digits."""
-        rows = self._rows
-        comp = frontier = 1 << s
-        while frontier:
-            nxt = 0
-            if frontier < _NARROW or frontier.bit_count() < _WIDE:
-                f = frontier
-                while f:  # from the top: bit_length reads no digits
-                    v = f.bit_length() - 1
-                    nxt |= rows[v]
-                    f ^= 1 << v
-            else:
-                for v in _listed(frontier):
-                    nxt |= rows[v]
-            nxt |= comp
-            frontier = nxt ^ comp
-            comp = nxt
-        return comp
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, by smallest vertex."""
-        seen = 0
-        out = []
-        for s in range(self.n):
-            if seen >> s & 1:
-                continue
-            comp = self._reach(s)
-            seen |= comp
-            out.append(_bits(comp) if comp.bit_count() < _WIDE else _listed(comp))
-        return out
+        return components_of(self.adjacency())
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or self._reach(0) == (1 << self.n) - 1
+        """Whether vertex 0 reaches every vertex, by bitset frontiers: each
+        frontier is peeled from the top, where bit_length reads no digits."""
+        if self.n <= 1:
+            return True
+        rows = self._rows
+        comp = frontier = 1
+        while frontier:
+            nxt = comp
+            while frontier:
+                v = frontier.bit_length() - 1
+                nxt |= rows[v]
+                frontier ^= 1 << v
+            frontier = nxt ^ comp
+            comp = nxt
+        return comp == (1 << self.n) - 1
+
+
+def components_of(adj: list[list[int]]) -> list[list[int]]:
+    """Connected components of the graph with neighbour lists ``adj``, as
+    sorted vertex lists, by smallest vertex; one breadth-first search."""
+    seen = [False] * len(adj)
+    out = []
+    for s in range(len(adj)):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        for v in comp:  # comp grows while it is read: the BFS queue
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        comp.sort()
+        out.append(comp)
+    return out
 
 
 def _check_order(n: int) -> None:
     if n < 0 or n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
-
-
-_WIDE = 64  # popcount from which _listed beats peeling the bits one by one
-_NARROW = 1 << _WIDE  # masks below it have fewer than _WIDE bits: no count needed
-
-
-def _listed(mask: int) -> list[int]:
-    """The set bits of mask, ascending, unpacked by numpy from its bytes:
-    one pass over the digits however many bits are set."""
-    import numpy as np  # here, so that importing spexlab stays numpy-free
-
-    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) >> 3, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 
 
 def _bits(mask: int) -> list[int]:

@@ -32,17 +32,16 @@ def is_planar(g: Graph) -> PlanarityVerdict:
     """Planarity, first by one vertex deletion: g lies in K1 v (g - v), which
     is planar when g - v is outerplanar (G. Chartrand and F. Harary, Ann.
     Inst. H. Poincare B 3, 1967). A vertex v of maximum degree is tried, and
-    g - v is g's rows with v isolated. Otherwise networkx's left-right test
-    decides.
+    g - v is g's rows with bit v masked off and row v cleared, so v is
+    isolated. Otherwise networkx's left-right test decides.
 
     Witness tags: "apex-outerplanar" (g - v is outerplanar),
     "lr-embedding" and "lr-obstruction" (the left-right test's verdict).
     """
     if g.n:
         v = max(range(g.n), key=g.degree)
-        rows = list(g.rows())
-        for w in g.neighbors(v):
-            rows[w] ^= 1 << v
+        keep = ~(1 << v)
+        rows = [r & keep for r in g.rows()]
         rows[v] = 0
         if is_outerplanar(Graph._derived(g.n, rows)):
             return PlanarityVerdict(True, "apex-outerplanar")
@@ -74,18 +73,10 @@ def is_outerplanar(g: Graph) -> PlanarityVerdict:
 
 def _blocks(g: Graph) -> Iterator[list[tuple[int, int]]]:
     """Edge lists of the biconnected blocks of g, from one iterative
-    Hopcroft-Tarjan depth-first search; it keeps its own stack, so a path
-    on ``MAX_VERTICES`` vertices does not hit the recursion limit."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, r in enumerate(g.rows()):
-        r >>= u + 1  # neighbours above u; shifting keeps the ints short
-        w = u
-        while r:
-            k = (r & -r).bit_length()
-            w += k
-            adj[u].append(w)
-            adj[w].append(u)
-            r >>= k
+    Hopcroft-Tarjan depth-first search over ``Graph.adjacency``; it keeps
+    its own stack, so a path on ``MAX_VERTICES`` vertices does not hit the
+    recursion limit."""
+    adj = g.adjacency()
     disc = [0] * g.n  # discovery time, 0 = unvisited
     low = [0] * g.n
     clock = 0

@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .forbidden import ForbiddenSpec, is_free
-from .graph import Graph, _bits, empty_graph
+from .graph import Graph, empty_graph
 from .graph6 import graph6_from_body
 from .recognition import (
     is_outerplanar,
@@ -223,7 +223,7 @@ def _canon(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
     _check_canon_n(g.n)
     n = g.n
     rows = g.rows()
-    nbrs = [_bits(r) for r in rows]
+    nbrs = g.adjacency()
     gens: list[tuple[int, ...]] = []
     best_key = -1
     best_inv: list[int] = []

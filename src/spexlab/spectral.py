@@ -30,12 +30,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
 from .constructions import FamilySpec, PathPartition, family_partition
-from .graph import Graph
+from .graph import Graph, components_of
 from .recognition import is_outerplanar
 
 DEFAULT_TOL = 1e-10
@@ -80,41 +81,20 @@ class ConvergenceError(RuntimeError):
         self.best = best
 
 
-_CHUNK_BYTES = 1 << 20
-
-
 def adjacency_csr(g: Graph) -> sp.csr_matrix:
     """Adjacency matrix of g in CSR form: data 1.0, ascending columns in
-    every row.
+    every row, read from ``Graph.adjacency``."""
+    return _csr(g.adjacency())
 
-    Read from the bitset rows: each row's little-endian bytes at its own
-    length, in chunks of at most ``_CHUNK_BYTES`` packed bytes, so the
-    work area stays in proportion to the graph's own storage. Only the
-    nonzero 64-bit words of a chunk are unpacked to bits. The set bits
-    come out in row order, row i contributing degree(i) of them, so each
-    row's columns are its bit offsets from the start of its bytes.
-    """
-    rows = g.rows()
-    deg = np.fromiter((r.bit_count() for r in rows), dtype=np.int64, count=g.n)
-    size = np.fromiter(((r.bit_length() + 7) >> 3 for r in rows), dtype=np.int64, count=g.n)
-    end = np.cumsum(size)
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    lo = 0
-    while lo < g.n:
-        start = end[lo] - size[lo]
-        hi = max(lo + 1, int(np.searchsorted(end, start + _CHUNK_BYTES, side="right")))
-        packed = b"".join(r.to_bytes(k, "little") for r, k in zip(rows[lo:hi], size[lo:hi].tolist()))
-        words = np.frombuffer(packed + bytes(-len(packed) % 8), dtype=np.uint64)
-        hit = np.flatnonzero(words)
-        bits = np.flatnonzero(np.unpackbits(words[hit].view(np.uint8), bitorder="little"))
-        offsets = 8 * (end[lo:hi] - size[lo:hi] - start)
-        indices[indptr[lo]:indptr[hi]] = (
-            64 * hit[bits >> 6] + (bits & 63) - np.repeat(offsets, deg[lo:hi])
-        )
-        lo = hi
-    return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(g.n, g.n))
+
+def _csr(adj: list[list[int]]) -> sp.csr_matrix:
+    """The CSR matrix of the neighbour lists ``adj``: indptr from their
+    lengths, indices their concatenation."""
+    n = len(adj)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=n), out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=indptr[-1])
+    return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
 
 def spectral_radius(
@@ -132,8 +112,9 @@ def spectral_radius(
         raise ValueError("spectral radius undefined for the empty graph")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a = adjacency_csr(g)
-    comps = g.components()
+    adj = g.adjacency()
+    a = _csr(adj)
+    comps = components_of(adj)
     best: tuple[float, float, list[int], np.ndarray, str] | None = None
     total_iters = 0
     failure: str | None = None
@@ -173,7 +154,7 @@ def _power_iterate(a: sp.csr_matrix, tol: float, budget: int):
     at the float64 rounding floor: when the residual has not improved for
     200 iterations the best iterate is taken (its residual is still a
     sound certificate), and if it sits above tol, ``_polish`` continues
-    from it for at most ``_POLISH_BUDGET`` steps.
+    from it with what is left of the budget.
     """
     deg = np.diff(a.indptr)
     x = deg / np.linalg.norm(deg)
@@ -195,7 +176,7 @@ def _power_iterate(a: sp.csr_matrix, tol: float, budget: int):
         if res <= tol or since_improvement >= 200:
             res, rho, x = best
             if res > tol:
-                rho, res, x, extra = _polish(a, x, tol, min(budget - iters, _POLISH_BUDGET))
+                rho, res, x, extra = _polish(a, x, tol, budget - iters)
                 return rho, res, x, iters + extra, res <= tol, "polish"
             return rho, res, np.abs(x), iters, True, "power"
         y = ax + x  # shift by +I keeps the top eigenvalue dominant
@@ -267,9 +248,6 @@ def _longdouble_certificate(al: sp.csr_matrix, x: np.ndarray):
     rho64, slack = _rounding_slack(rho, int(np.diff(al.indptr).max()))
     res = math.sqrt(float(((ax - rho * xl) ** 2).sum() / nrm2))
     return rho64, res + slack
-
-
-_POLISH_BUDGET = 1000
 
 
 def _polish(a: sp.csr_matrix, x: np.ndarray, tol: float, budget: int):

@@ -115,16 +115,28 @@ def test_search_json_schema(capsys):
     assert [e["n"] for e in payload["entries"]] == [4, 5]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=jsonschema.ValidationError,
-    reason="a level with no qualifying graph reports certificates: [] and"
-    " best_rho 0.0, but the schema asks for at least one certificate",
-)
 def test_search_report_with_an_empty_level_fits_schema():
     report = exhaustive_spex(SearchConfig(2, 3, forbidden=ForbiddenSpec.parse("M1")))
     assert [e["candidates"] for e in report.entries] == [0, 0]
     validate(json.loads(report.to_json()), "search-report.schema.json")
+
+
+def test_search_report_schema_ties_certificates_to_candidates():
+    payload = json.loads(exhaustive_spex(SearchConfig(3, 3)).to_json())
+    validate(payload, "search-report.schema.json")
+    entry = payload["entries"][0]
+    assert entry["candidates"] > 0
+    empty = {"certificates": [], "best_rho": 0.0, "candidates": 0}
+    # a level with candidates needs a certificate; an empty level claims
+    # neither a certificate nor a nonzero rho
+    for bad in (
+        {"certificates": []},
+        {**empty, "certificates": entry["certificates"]},
+        {**empty, "best_rho": entry["best_rho"]},
+    ):
+        payload["entries"] = [{**entry, **bad}]
+        with pytest.raises(jsonschema.ValidationError):
+            validate(payload, "search-report.schema.json")
 
 
 def test_search_rejects_cap_below_one(capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import graphs, to_nx
+from spexlab.constructions import FamilySpec, construct
 from spexlab.graph import (
     MAX_VERTICES,
     Graph,
@@ -111,6 +112,43 @@ def test_components_and_is_connected_match_networkx(g):
     G = to_nx(g)
     assert g.components() == sorted(sorted(c) for c in nx.connected_components(G))
     assert g.is_connected() == (g.n <= 1 or nx.is_connected(G))
+
+
+def _sorted_neighbours(G: nx.Graph) -> list[list[int]]:
+    return [sorted(G[v]) for v in range(G.number_of_nodes())]
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=120, deadline=None)
+def test_adjacency_matches_networkx(g):
+    assert g.adjacency() == _sorted_neighbours(to_nx(g))
+
+
+def test_adjacency_matches_networkx_on_atlas():
+    for G in nx.graph_atlas_g():
+        g = from_edges(G.number_of_nodes(), G.edges())
+        assert g.adjacency() == _sorted_neighbours(G)
+
+
+def _hub_join() -> Graph:
+    # K2 joined to five paths on five vertices: every row reaches bits 0, 1
+    return join(complete(2), disjoint_union([path(5)] * 5))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        star(10**4),
+        construct(FamilySpec("k2hp", 10**4, t=3, l=5)),
+        disjoint_union([_hub_join(), path(7)]),
+        disjoint_union([path(7), _hub_join(), empty_graph(2)]),
+    ],
+    ids=["star-10000", "k2hp-10000", "hub-join-then-path", "path-hub-join-isolates"],
+)
+def test_components_match_networkx_on_hub_joins(g):
+    G = to_nx(g)
+    assert g.components() == sorted(sorted(c) for c in nx.connected_components(G))
+    assert g.is_connected() == nx.is_connected(G)
 
 
 def test_induced_subgraph():

@@ -641,8 +641,11 @@ def _from_networkx(G):
 
 
 def _vertex_transitive_graphs():
-    """Petersen, Q4, Heawood, Moebius-Kantor, Paley(13), K4xK4, C4xC4 and
-    K_{4,4,4}."""
+    """Petersen, Q4, Heawood, Moebius-Kantor, Paley(13), K4xK4 (the 4x4
+    rook's graph), C4xC4, K_{4,4,4}, and the Shrikhande and Clebsch graphs.
+    Shrikhande is the Cayley graph of Z4 x Z4 on +-(1,0), +-(0,1),
+    +-(1,1); Clebsch joins the 4-bit words that differ in one bit or in
+    all four."""
     k4, c4 = nx.complete_graph(4), nx.cycle_graph(4)
     named = [
         nx.petersen_graph(),
@@ -654,7 +657,16 @@ def _vertex_transitive_graphs():
         nx.cartesian_product(c4, c4),
         nx.complete_multipartite_graph(4, 4, 4),
     ]
-    return [_from_networkx(G) for G in named]
+    shrikhande = {
+        (4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+        for a in range(4)
+        for b in range(4)
+        for da, db in ((1, 0), (0, 1), (1, 1))
+    }
+    clebsch = {(x, x ^ m) for x in range(16) for m in (1, 2, 4, 8, 15) if x < x ^ m}
+    return [_from_networkx(G) for G in named] + [
+        _from_networkx(nx.Graph(sorted(edges))) for edges in (shrikhande, clebsch)
+    ]
 
 
 FAMILIES = {
@@ -783,6 +795,72 @@ def test_pruned_form_is_unpruned_minimum(family):
     tree."""
     for g in FAMILIES[family]():
         assert _canon(g)[0] == reference_canon(g), g.rows()
+
+
+class _TooManyLeaves(Exception):
+    pass
+
+
+def unpruned_canon(g, cap: int) -> bytes | None:
+    """graph6 of the smallest _leaf_key over the individualization tree
+    that _canon walks: _refine at every node and one branch for a
+    homogeneous cell, but no orbit pruning, so every other vertex of a
+    target cell is individualized. None when the tree has more than
+    ``cap`` leaves."""
+    n, rows, nbrs = g.n, g.rows(), g.adjacency()
+    best, leaves = -1, 0
+
+    def walk(cells, splitters):
+        nonlocal best, leaves
+        cells = _refine(rows, cells, splitters)
+        i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if i is None:
+            leaves += 1
+            if leaves > cap:
+                raise _TooManyLeaves
+            perm = [0] * n
+            for c, (v,) in enumerate(cells):
+                perm[v] = c
+            key = _leaf_key(nbrs, perm)[0]
+            best = key if best < 0 else min(best, key)
+            return
+        cell = cells[i]
+        for v in cell[:1] if _homogeneous(rows, cell) else cell:
+            rest = [w for w in cell if w != v]
+            walk(cells[:i] + [[v], rest] + cells[i + 1 :], [1 << v])
+
+    cells = _degree_cells(nbrs)
+    try:
+        walk(cells, [_mask(cell) for cell in cells[:-1]])
+    except _TooManyLeaves:
+        return None
+    return graph6_from_body(n, best)
+
+
+def _degree_cells(nbrs: list[list[int]]) -> list[list[int]]:
+    degree = [len(nb) for nb in nbrs]
+    return [[v for v in range(len(nbrs)) if degree[v] == d] for d in sorted(set(degree))]
+
+
+# Leaves of the unpruned tree that the circulant check walks at most: 755
+# of the 765 circulants on up to 16 vertices stay below it (a cap of 10^5
+# admits 761 and takes three times as long).
+UNPRUNED_LEAF_CAP = 10**4
+
+
+@pytest.mark.parametrize("family", ["atlas", "vertex-transitive", "circulants"])
+def test_canonical_form_is_smallest_key_of_unpruned_tree(family):
+    """_canon prunes a child only by automorphisms that fix the
+    individualized path (its stabiliser filter); the reference walks the
+    same tree without pruning and must find the same smallest key."""
+    checked = 0
+    for g in FAMILIES[family]():
+        want = unpruned_canon(g, UNPRUNED_LEAF_CAP)
+        assert want is not None or family == "circulants", g.rows()
+        if want is not None:
+            assert canonical_form(g) == want, g.rows()
+            checked += 1
+    assert checked == {"atlas": 1253, "vertex-transitive": 10, "circulants": 755}[family]
 
 
 def _count_calls(monkeypatch, name: str) -> dict[str, int]:

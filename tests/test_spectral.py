@@ -225,22 +225,22 @@ def test_adjacency_csr_matches_edge_list():
     assert_builder_matches(disjoint_union([empty_graph(2), cycle(5), empty_graph(3), star(4)]))
     for G in nx.graph_atlas_g():
         assert_builder_matches(from_edges(G.number_of_nodes(), G.edges()))
-
-
-def test_adjacency_csr_across_chunks(monkeypatch):
-    # every row reaches the last vertex, so the rows take 4000 * 500 bytes:
-    # two chunks of at most 1 MB
+    # every row reaches the last vertex, so every bitset row is n bits long
     rnd = random.Random(17)
     n = 4000
     edges = {(v, n - 1) for v in range(n - 1)}
     edges |= {tuple(sorted(rnd.sample(range(n), 2))) for _ in range(3 * n)}
     assert_builder_matches(from_edges(n, sorted(edges)))
-    # chunk boundaries at every place, including chunks of one row longer
-    # than the limit
-    for chunk in (1, 3, 16, 100):
-        monkeypatch.setattr(spectral, "_CHUNK_BYTES", chunk)
-        for _ in range(10):
-            assert_builder_matches(random_graph(rnd, rnd.randint(0, 120), 0.1))
+    for _ in range(40):
+        assert_builder_matches(random_graph(rnd, rnd.randint(0, 120), 0.1))
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [("star", {}), ("k1hop", {"t": 2, "l": 5}), ("k2hp", {"t": 3, "l": 5}), ("jn", {})],
+)
+def test_adjacency_csr_matches_edge_list_on_hub_joins_at_scale(name, params):
+    assert_builder_matches(construct(FamilySpec(name, 10**4, **params)))
 
 
 def test_solve_leaves_csgraph_unimported():
@@ -404,10 +404,8 @@ def test_hub_joins_at_scale_take_the_longdouble_solve(name, params, hubs):
     assert abs(est.rho - quo.rho) <= est.residual + quo.residual
 
 
-def test_longdouble_route_is_capped_by_max_iterations(monkeypatch):
-    # it replaces the float64 loop, so it shares that loop's cap;
-    # _POLISH_BUDGET caps only the polish after a float64 stall
-    monkeypatch.setattr(spectral, "_POLISH_BUDGET", 2)
+def test_longdouble_route_is_capped_by_max_iterations():
+    # it replaces the float64 loop, so it shares that loop's cap
     big = construct(FamilySpec("k1hop", 2000, t=2, l=5))
     est = spectral_radius(big, tol=1e-13)
     assert est.path == "polish" and est.iterations > 2
