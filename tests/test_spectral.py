@@ -225,7 +225,11 @@ def test_adjacency_csr_matches_edge_list():
     assert_builder_matches(disjoint_union([empty_graph(2), cycle(5), empty_graph(3), star(4)]))
     for G in nx.graph_atlas_g():
         assert_builder_matches(from_edges(G.number_of_nodes(), G.edges()))
+
+
+def test_adjacency_csr_across_chunks():
     # every row reaches the last vertex, so every bitset row is n bits long
+    # and the rows together take 4000 * 500 bytes
     rnd = random.Random(17)
     n = 4000
     edges = {(v, n - 1) for v in range(n - 1)}
