@@ -13,7 +13,9 @@ class Graph:
     Adjacency is stored as one Python int bitset per vertex: bit j of
     ``row(i)`` is 1 iff ij is an edge. Rows must be symmetric and
     irreflexive; the constructor checks them, while operations that derive
-    a graph from valid graphs build it through ``_derived`` unchecked.
+    a graph from valid graphs, and the input parsers that check each edge
+    or bit where it enters (``from_edges``, ``graph6_decode``), build it
+    through ``_derived`` unchecked.
     Every layer that needs neighbour indices reads them from
     ``adjacency()``, which is built on each call and not stored.
     Instances are immutable; all edits produce new graphs.
@@ -218,13 +220,15 @@ def _bits(mask: int) -> list[int]:
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Graph on n vertices with the given edges; each edge is checked here,
+    so the rows it sets are valid by construction."""
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise ValueError(f"bad edge ({u}, {v}) for n={n}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, rows)
+    return Graph._derived(n, rows)
 
 
 def empty_graph(n: int) -> Graph:

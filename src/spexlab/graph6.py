@@ -118,4 +118,4 @@ def graph6_decode(s: str) -> Graph:
             i = (c & -c).bit_length() - 1
             rows[i] |= 1 << j
             c &= c - 1
-    return Graph(n, rows)
+    return Graph._derived(n, rows)  # symmetric and loop-free by construction

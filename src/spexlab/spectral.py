@@ -1,4 +1,4 @@
-"""Certified spectral-radius estimates and the paper-family bound checks.
+"""Certified spectral-radius estimates and strict comparisons of them.
 
 ``spectral_radius`` picks one of two routes for each connected component
 before iterating. B = gamma_(Delta+2) * 2 rho_ub (``_float64_floor``)
@@ -23,21 +23,23 @@ residuals or they are reported indeterminate.
 Hub-joined path families K_h v (disjoint paths) have an equitable
 partition, so ``joined_paths_radius`` solves their secular equation, one
 tridiagonal sweep per distinct path length, instead of iterating.
+
+Both solvers take any finite positive tol. The paper's claims are checked
+from their estimates in ``experiments``, beside the suites that run them.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
-from .constructions import FamilySpec, PathPartition, family_partition
+from .constructions import PathPartition
 from .graph import Graph, components_of
-from .recognition import is_outerplanar
 
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 10**6
@@ -59,18 +61,6 @@ class SpectralEstimate:
     perron: np.ndarray
     perron_max: np.ndarray
     path: str = "power"
-
-
-@dataclass
-class BoundReport:
-    """pass means lhs <= rhs + tol (with residual slack already folded in)."""
-
-    name: str
-    lhs: float
-    rhs: float
-    slack: float
-    passed: bool
-    details: dict = field(default_factory=dict)
 
 
 class ConvergenceError(RuntimeError):
@@ -110,8 +100,8 @@ def spectral_radius(
     """
     if g.n == 0:
         raise ValueError("spectral radius undefined for the empty graph")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:  # NaN fails too: it would certify any iterate
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     adj = g.adjacency()
     a = _csr(adj)
     comps = components_of(adj)
@@ -358,8 +348,8 @@ def joined_paths_radius(
     """
     if hubs not in (1, 2):
         raise ValueError("hubs must be 1 or 2")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:  # NaN fails too: it would certify any iterate
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     sizes = Counter(h.parts)  # distinct lengths, largest first
     q00 = np.longdouble(hubs - 1)  # Q[0, 0], the hub cell's own degree
     # rho(K_hubs v (n - hubs) K_1) >= sqrt(L) > 2 cos(pi / (L + 1)) for every part L
@@ -404,90 +394,3 @@ def strict_compare(hi: SpectralEstimate, lo: SpectralEstimate) -> str:
         return "less"
     return "indeterminate"
 
-
-def check_shu_bound(g: Graph, tol: float = DEFAULT_TOL) -> BoundReport:
-    """rho(G) <= 3/2 + sqrt(n - 7/4) for connected outerplanar G, n >= 3."""
-    if g.n < 3:
-        raise ValueError("bound needs n >= 3")
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
-    if not is_outerplanar(g):
-        raise ValueError("graph must be outerplanar")
-    est = spectral_radius(g, tol)
-    rhs = 1.5 + math.sqrt(g.n - 1.75)
-    slack = rhs - est.rho
-    return BoundReport(
-        name="shu-upper-bound",
-        lhs=est.rho,
-        rhs=rhs,
-        slack=slack,
-        passed=est.rho <= rhs + est.residual,
-        details={"n": g.n, "residual": est.residual},
-    )
-
-
-def check_lower_bound_claim11(n: int, t: int, tol: float = DEFAULT_TOL) -> BoundReport:
-    """rho of the witness K1 v ((t-1)K2 u (n-2t+1)K1) is
-    >= sqrt(n)+1-(n-t)/(n-sqrt(n)), itself > (4/5)sqrt(n)."""
-    if n <= 5:
-        raise ValueError("bound needs n > 5")
-    if not 1 <= t <= (n - 1) / 2:
-        raise ValueError("need 1 <= t <= (n-1)/2")
-    est = joined_paths_radius(1, family_partition(FamilySpec("claimw", n, t=t)), tol)
-    root = math.sqrt(n)
-    bound = root + 1 - (n - t) / (n - root)
-    coarse = 0.8 * root
-    passed = (
-        bound <= est.rho + est.residual
-        and coarse < est.rho + est.residual
-        and coarse < bound
-    )
-    return BoundReport(
-        name="hub-matching-lower-bound",
-        lhs=bound,
-        rhs=est.rho,
-        slack=est.rho - bound,
-        passed=passed,
-        details={
-            "n": n,
-            "t": t,
-            "coarse_bound": coarse,
-            "residual": est.residual,
-        },
-    )
-
-
-BOX_EPS = 1e-9  # the most a normalized Perron entry may stray from its box
-
-
-def check_eigenvector_box(hubs: int, h: PathPartition, tol: float = DEFAULT_TOL) -> BoundReport:
-    """Perron entries of ``joined_paths(hubs, h)`` off the hub(s) sit in
-    [c/rho, c/rho + K/rho^2] with (c, K) = (1, 2.04) for K1-joins and
-    (2, 4.496) for K2-joins, after normalizing the hub entries to 1."""
-    est = joined_paths_radius(hubs, h, tol)
-    x = est.perron_max
-    rho = est.rho
-    c, width = (1.0, 2.04) if hubs == 1 else (2.0, 4.496)
-    lo = c / rho
-    hi = c / rho + width / rho**2
-    hub_gap = max(abs(x[i] - 1.0) for i in range(hubs))
-    rest = x[hubs:]
-    worst = 0.0
-    if rest.size:
-        worst = max(float((lo - rest).max()), float((rest - hi).max()), 0.0)
-    worst = max(worst, hub_gap)
-    return BoundReport(
-        name=f"eigenvector-box-hub{hubs}",
-        lhs=worst,
-        rhs=BOX_EPS,
-        slack=BOX_EPS - worst,
-        passed=worst <= BOX_EPS,
-        details={
-            "rho": rho,
-            "box_low": lo,
-            "box_high": hi,
-            "min_entry": float(rest.min()) if rest.size else 1.0,
-            "max_entry": float(rest.max()) if rest.size else 1.0,
-            "residual": est.residual,
-        },
-    )

@@ -17,13 +17,13 @@ import pytest
 
 from helpers import atlas_classes, to_nx
 from spexlab.constructions import h_op
-from spexlab.experiments import run_suite
+from spexlab.experiments import BOX_EPS, eigenvector_box, run_suite
 from spexlab.forbidden import ForbiddenSpec
 from spexlab.graph import Graph, complete, complete_bipartite, cycle, join, star
 from spexlab.graph6 import graph6_decode, graph6_encode
 from spexlab.recognition import is_outerplanar, is_planar
 from spexlab.search import SearchConfig, enumerate_class, exhaustive_spex
-from spexlab.spectral import check_eigenvector_box, spectral_radius
+from spexlab.spectral import spectral_radius
 
 NS = (10, 100, 10_000)
 
@@ -69,20 +69,20 @@ def test_c4_eigenvector_box_hub2_at_5000():
 )
 def test_c4_eigenvector_box_hub1_at_5000():
     for n1, n2 in ((5, 3), (9, 2)):
-        assert check_eigenvector_box(1, h_op(5000, n1, n2)).passed
+        assert eigenvector_box(1, h_op(5000, n1, n2))[0] <= BOX_EPS
 
 
 def test_c4_hub1_failure_signature_and_valid_regime():
     # pin the diagnosis of the expected failure above
     for n1, n2 in ((5, 3), (9, 2)):
-        rep = check_eigenvector_box(1, h_op(5000, n1, n2))
-        assert not rep.passed
-        assert rep.details["rho"] < 102.0
-        assert 0 < rep.lhs < 1e-5  # tiny overshoot, not a detector bug
+        worst, rho = eigenvector_box(1, h_op(5000, n1, n2))
+        assert not worst <= BOX_EPS
+        assert rho < 102.0
+        assert 0 < worst < 1e-5  # tiny overshoot, not a detector bug
     # and the same construction passes once rho clears 102
     for n1, n2 in ((5, 3), (9, 2)):
-        rep = check_eigenvector_box(1, h_op(12_000, n1, n2))
-        assert rep.details["rho"] > 102.0 and rep.passed
+        worst, rho = eigenvector_box(1, h_op(12_000, n1, n2))
+        assert rho > 102.0 and worst <= BOX_EPS
 
 
 def test_c5_freeness_boundaries_exact():

@@ -73,6 +73,13 @@ def test_rho_below_rounding_floor_exits_3(capsys):
     assert err.startswith("convergence error: residual")
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_rho_refuses_a_tol_that_is_not_finite_and_positive(capsys, tol):
+    code, out, err = run_cli(capsys, "rho", "--family", "wheel:n=10", "--tol", tol)
+    assert (code, out) == (1, "")
+    assert "tol must be finite and positive" in err
+
+
 def test_check_json(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -210,6 +217,18 @@ def test_verify_failure_exits_2(capsys):
     assert payload["claim-3.1"]["verdict"] == "FAIL"
     assert payload["claim-3.1"]["failures"]
     assert "worst" in err or "fail" in err.lower()
+
+
+# [DERIVED] SHA-256 of the stdout of `verify --suite all --format json`,
+# computed before the claim checks moved from spectral.py to experiments.py.
+# Its only floats are the worst overflow and rho of claim-3.1's two failures.
+VERIFY_ALL_JSON_SHA256 = "8d6b3a06ecddb62f988f4cb02696d71711d528b0fd36111acc71f701e6ea63e5"
+
+
+def test_verify_all_json_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--format", "json")
+    assert code == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_JSON_SHA256
 
 
 def test_verify_text_and_csv(capsys):

@@ -8,13 +8,23 @@ import json
 import numpy as np
 import pytest
 
+from spexlab.constructions import FamilySpec, PathPartition, construct, family_partition
 from spexlab.experiments import (
+    BOX_EPS,
     SUITES,
     _run_cases,
+    _shu_case,
+    eigenvector_box,
     run_suite,
     traceability,
 )
-from spexlab.spectral import ConvergenceError, SpectralEstimate
+from spexlab.graph import complete, cycle, disjoint_union, join, path
+from spexlab.spectral import (
+    ConvergenceError,
+    SpectralEstimate,
+    joined_paths_radius,
+    spectral_radius,
+)
 
 EXPECTED_SUITES = {
     "claim-1.1",
@@ -154,3 +164,53 @@ def test_other_case_errors_propagate():
 
     with pytest.raises(ZeroDivisionError):
         _run_cases("synthetic", [("broken", broken)])
+
+
+# the paper's bounds and boxes, checked where the suites run them
+
+
+def test_lemma_lm2_case_and_its_preconditions():
+    verdict, info = _shu_case("fan", {"n": 10}, lambda: join(complete(1), path(9)))[1]()
+    assert verdict == "pass" and info["rho"] <= info["bound"] + 1e-12
+    for g, message in [
+        (join(complete(1), cycle(9)), "must be outerplanar"),  # the wheel
+        (disjoint_union([path(3), path(3)]), "must be connected"),
+        (path(2), "needs n >= 3"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            _shu_case("bad", {}, lambda g=g: g)[1]()
+    r = run_suite("lemma-lm2", {"nmax": 5, "family_ns": (20,)})
+    assert r.cases == r.passes > 0
+
+
+def test_claim_1_1_witness_matches_built_graph():
+    g = construct(FamilySpec("claimw", 20, t=4))
+    assert g.n == 20 and g.degree(0) == 19
+    assert g.edge_count() == 19 + 3
+    for name, fn in SUITES["claim-1.1"].build(n_values=(10, 50, 200)):
+        verdict, info = fn()
+        assert verdict == "pass", name
+        # the quotient rho agrees with power iteration on the built witness
+        spec = FamilySpec("claimw", info["n"], t=info["t"])
+        quo = joined_paths_radius(1, family_partition(spec))
+        est = spectral_radius(construct(spec))
+        assert info["rho"] == quo.rho
+        assert abs(quo.rho - est.rho) <= quo.residual + est.residual
+    with pytest.raises(ValueError, match="bound needs n > 5"):
+        run_suite("claim-1.1", {"n_values": (5,)})
+
+
+def test_eigenvector_box_regimes():
+    # hub2 box is valid once rho is moderately large
+    worst, _ = eigenvector_box(2, family_partition(FamilySpec("k2hp", 600, t=3, l=5)))
+    assert worst <= BOX_EPS
+    # hub1 box needs rho >= 102, far beyond n=600: an honest failure
+    worst, rho = eigenvector_box(1, family_partition(FamilySpec("k1hop", 600, t=3, l=5)))
+    assert worst > BOX_EPS and rho < 102.0
+
+
+def test_eigenvector_box_validation():
+    # a PathPartition is always a union of paths; only the hub count can
+    # name no family
+    with pytest.raises(ValueError, match="hubs must be 1 or 2"):
+        eigenvector_box(3, PathPartition([5]))

@@ -1,5 +1,5 @@
 """Spectral radius engine vs exact and LAPACK/ARPACK oracles, plus the
-bound/box report helpers."""
+eigenvector box of the experiments suites against the built graph."""
 
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ from spexlab.constructions import (
     fill_partition,
     joined_paths,
 )
+from spexlab.experiments import BOX_EPS, eigenvector_box
 from spexlab.graph import (
     Graph,
     complete,
@@ -47,9 +48,6 @@ from spexlab.spectral import (
     ConvergenceError,
     SpectralEstimate,
     adjacency_csr,
-    check_eigenvector_box,
-    check_lower_bound_claim11,
-    check_shu_bound,
     joined_paths_radius,
     spectral_radius,
     strict_compare,
@@ -247,17 +245,11 @@ def test_adjacency_csr_matches_edge_list_on_hub_joins_at_scale(name, params):
     assert_builder_matches(construct(FamilySpec(name, 10**4, **params)))
 
 
-def test_solve_leaves_csgraph_unimported():
-    # scipy.sparse.csgraph costs about 0.1 s and 10 MB to import; components
-    # come from Graph.components instead
+def _modules_after(code: str, names: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout's spexlab and
+    print which of the module ``names`` it left in sys.modules."""
     src = str(Path(spectral.__file__).resolve().parent.parent)
-    code = (
-        "import sys, spexlab\n"
-        "from spexlab.spectral import spectral_radius\n"
-        "g = spexlab.disjoint_union([spexlab.cycle(5), spexlab.complete(4), spexlab.empty_graph(1)])\n"
-        "spectral_radius(g, 1e-13)\n"
-        "print('scipy.sparse.csgraph' in sys.modules)\n"
-    )
+    code += f"import sys\nprint(sorted(set({names!r}.split()) & set(sys.modules)))\n"
     pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -266,7 +258,42 @@ def test_solve_leaves_csgraph_unimported():
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_solve_leaves_csgraph_unimported():
+    # scipy.sparse.csgraph costs about 0.1 s and 10 MB to import; components
+    # come from Graph.components instead
+    code = (
+        "import spexlab\n"
+        "from spexlab.spectral import spectral_radius\n"
+        "g = spexlab.disjoint_union([spexlab.cycle(5), spexlab.complete(4), spexlab.empty_graph(1)])\n"
+        "spectral_radius(g, 1e-13)\n"
+    )
+    assert _modules_after(code, "scipy.sparse.csgraph") == "[]"
+
+
+def test_solvers_leave_recognition_and_networkx_unimported():
+    # spectral.py holds only the solvers; the claim checks that need
+    # outerplanarity, and with it networkx, live in experiments.py
+    code = (
+        "from spexlab.constructions import PathPartition\n"
+        "from spexlab.graph import join, complete, path\n"
+        "from spexlab.spectral import joined_paths_radius, spectral_radius\n"
+        "spectral_radius(join(complete(1), path(9)))\n"
+        "joined_paths_radius(2, PathPartition([5, 3, 1]))\n"
+    )
+    assert _modules_after(code, "networkx spexlab.recognition") == "[]"
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, -math.inf])
+def test_tol_must_be_finite_and_positive(tol):
+    # a NaN tol fails every `res > tol` test, so any iterate would count as
+    # certified; an infinite one stops before the first step
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        spectral_radius(cycle(5), tol)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        joined_paths_radius(1, PathPartition([4, 2]), tol)
 
 
 def test_convergence_error_carries_best():
@@ -436,35 +463,6 @@ def test_strict_compare():
     assert strict_compare(est(1.0, 1e-3), est(1.001, 1e-3)) == "indeterminate"
 
 
-def test_shu_bound_reports():
-    fan = join(complete(1), path(9))
-    rep = check_shu_bound(fan)
-    assert rep.passed and rep.lhs <= rep.rhs + 1e-12
-    assert rep.details["n"] == 10
-    with pytest.raises(ValueError):
-        check_shu_bound(join(complete(1), cycle(9)))  # wheel: not outerplanar
-    with pytest.raises(ValueError):
-        check_shu_bound(disjoint_union([path(3), path(3)]))
-    with pytest.raises(ValueError):
-        check_shu_bound(path(2))
-
-
-def test_lower_bound_witness_and_report():
-    g = construct(FamilySpec("claimw", 20, t=4))
-    assert g.n == 20 and g.degree(0) == 19
-    assert g.edge_count() == 19 + 3
-    for n, t in [(10, 1), (50, 3), (200, 20)]:
-        rep = check_lower_bound_claim11(n, t)
-        assert rep.passed
-        # the quotient rho agrees with power iteration on the built witness
-        est = spectral_radius(construct(FamilySpec("claimw", n, t=t)))
-        assert abs(rep.rhs - est.rho) <= rep.details["residual"] + est.residual
-    with pytest.raises(ValueError):
-        check_lower_bound_claim11(5, 1)
-    with pytest.raises(ValueError):
-        check_lower_bound_claim11(20, 10)
-
-
 def reference_box(g: Graph, hubs: int, box_eps: float = 1e-9):
     """The eigenvector box computed on the built graph: check that hubs
     0..hubs-1 are adjacent and dominate a disjoint union of paths, then box the Perron
@@ -500,28 +498,12 @@ BOX_GRID = [  # claim-3.1 and lemma-lm4 suite grids, then the n = 600 families
     "hubs,h", BOX_GRID, ids=[f"hub{hubs}-n{h.total + hubs}-{h.part(1)}" for hubs, h in BOX_GRID]
 )
 def test_eigenvector_box_matches_built_graph(hubs, h):
-    rep = check_eigenvector_box(hubs, h)
-    passed, worst, rho, residual = reference_box(joined_paths(hubs, h), hubs)
-    assert rep.name == f"eigenvector-box-hub{hubs}"
-    assert rep.passed == passed
-    assert abs(rep.details["rho"] - rho) <= rep.details["residual"] + residual
-    assert abs(rep.lhs - worst) <= 1e-12
-
-
-def test_eigenvector_box_regimes():
-    # hub2 box is valid once rho is moderately large
-    rep = check_eigenvector_box(2, family_partition(FamilySpec("k2hp", 600, t=3, l=5)))
-    assert rep.passed and rep.details["box_low"] <= rep.details["min_entry"]
-    # hub1 box needs rho >= 102, far beyond n=600: an honest failure
-    rep1 = check_eigenvector_box(1, family_partition(FamilySpec("k1hop", 600, t=3, l=5)))
-    assert not rep1.passed and rep1.lhs > 0
-
-
-def test_eigenvector_box_validation():
-    # a PathPartition is always a union of paths; only the hub count can
-    # name no family
-    with pytest.raises(ValueError):
-        check_eigenvector_box(3, PathPartition([5]))
+    worst, rho = eigenvector_box(hubs, h)
+    quo = joined_paths_radius(hubs, h)
+    passed, ref_worst, ref_rho, residual = reference_box(joined_paths(hubs, h), hubs)
+    assert (worst <= BOX_EPS) == passed
+    assert rho == quo.rho and abs(rho - ref_rho) <= quo.residual + residual
+    assert abs(worst - ref_worst) <= 1e-12
 
 
 # hub-joined path families through the equitable quotient
