@@ -19,7 +19,7 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import count, islice, product
+from itertools import islice, product
 
 from .constructions import (
     FamilySpec,
@@ -102,14 +102,14 @@ def _claim_1_1(n_values=(10, 25, 50, 100, 400, 1000, 2500, 10000)) -> Iterator[C
     """rho of the witness K1 v ((t-1)K2 u (n-2t+1)K1) is at least
     sqrt(n)+1-(n-t)/(n-sqrt(n)), itself above (4/5)sqrt(n)."""
     for n in n_values:
+        if n <= 5:
+            raise ValueError("bound needs n > 5")
         ts = sorted({1, 2, max(1, n // 100), (n - 1) // 2})
         for t in ts:
             if not 1 <= t <= (n - 1) / 2:
                 continue
 
             def fn(n=n, t=t):
-                if n <= 5:
-                    raise ValueError("bound needs n > 5")
                 est = joined_paths_radius(1, family_partition(FamilySpec("claimw", n, t=t)))
                 root = math.sqrt(n)
                 bound = root + 1 - (n - t) / (n - root)
@@ -160,22 +160,21 @@ def _lemma_lm2(nmax=7, family_ns=(100, 1000, 10000)) -> Iterator[Case]:
 
 
 def _monotonicity_cases(hubs: int, s2_max=6, cases=50, margin=1.15) -> Iterator[Case]:
-    """Partition pairs (h, transform of h) at n above the step threshold."""
-    made = 0
-    for idx in count():
-        if made >= int(cases):
-            return
-        s2 = 1 + idx % int(s2_max)
+    """Partition pairs (h, transform of h) at n of ``margin`` times the
+    step threshold; the lemmas claim nothing below it. Every such n
+    exceeds hubs + s1 + s2, so each h has filler parts."""
+    s2_max, cases, margin = int(s2_max), int(cases), float(margin)
+    if cases < 1 or s2_max < 1 or margin < 1:
+        raise ValueError("the lemma needs cases >= 1, s2_max >= 1 and margin >= 1")
+    for idx in range(cases):
+        s2 = 1 + idx % s2_max
         s1 = s2 + (idx * 3) % 5
         if hubs == 1:
             threshold = LM1_FACTOR * 2 ** (s2 + 2)
         else:
             threshold = LM5_FACTOR * 2**s2 + 2
-        n = int(math.ceil(threshold * float(margin))) + 7 * (idx % 3)
-        filler = n - hubs - s1 - s2
-        if filler < 0:
-            continue
-        h = PathPartition([s1, s2] + [1] * filler)
+        n = int(math.ceil(threshold * margin)) + 7 * (idx % 3)
+        h = PathPartition([s1, s2] + [1] * (n - hubs - s1 - s2))
         i = h.parts.index(s1)
         j = h.parts.index(s2) if s2 != s1 else i + 1
 
@@ -196,7 +195,6 @@ def _monotonicity_cases(hubs: int, s2_max=6, cases=50, margin=1.15) -> Iterator[
                 return "indeterminate", info
             return "fail", info
 
-        made += 1
         yield f"s1={s1},s2={s2},n={n}", fn
 
 
@@ -598,7 +596,8 @@ SUITES: dict[str, Suite] = {
 
 def run_suite(suite: str, params: dict | None = None) -> SuiteResult:
     """Run one suite's cases in order; ``params`` are keyword arguments of
-    the suite's builder, and a key it does not take is a ValueError."""
+    the suite's builder. A key it does not take, a value of the wrong
+    shape and parameters that leave no case are each a ValueError."""
     if suite not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise ValueError(f"unknown suite {suite!r}; known suites: {known}")
@@ -612,11 +611,16 @@ def run_suite(suite: str, params: dict | None = None) -> SuiteResult:
         )
     builder = SUITES[suite].build(**params)
     cases: list[Case] = []
-    while True:
-        try:
+    try:
+        while True:
             cases.append(next(builder))
-        except StopIteration as done:  # the builder returns the details
-            return _run_cases(suite, cases, done.value)
+    except StopIteration as done:  # the builder returns the details
+        details = done.value
+    except TypeError as e:  # say, a number where the builder unpacks a tuple
+        raise ValueError(f"suite {suite!r}: bad parameter value: {e}") from None
+    if not cases:
+        raise ValueError(f"suite {suite!r} has no case for these parameters")
+    return _run_cases(suite, cases, details)
 
 
 def traceability(results: list[SuiteResult]) -> tuple[str, dict]:

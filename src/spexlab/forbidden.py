@@ -296,23 +296,6 @@ def _validate_bouquet(g: Graph, v: int, cycles: list[list[int]]) -> None:
         seen |= inner
 
 
-def all_l_cycles_at(g: Graph, v: int, l: int) -> list[frozenset[tuple[int, int]]]:
-    """Edge sets of all l-cycles through v (desk-scale enumeration)."""
-    out = set()
-
-    def keep(path: list[int], inner: int, ends: int) -> None:
-        while ends:
-            b = ends & -ends
-            ends ^= b
-            cyc = [v, *path, b.bit_length() - 1]
-            out.add(frozenset(
-                (min(cyc[i - 1], cyc[i]), max(cyc[i - 1], cyc[i])) for i in range(l)
-            ))
-
-    _walk_hub_cycles(g.rows(), v, l, keep)
-    return sorted(out, key=sorted)
-
-
 def max_edge_disjoint_l_cycles_at(g: Graph, v: int, l: int, cap: int) -> int:
     """Largest k <= cap of pairwise edge-disjoint l-cycles through v.
 

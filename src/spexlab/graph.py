@@ -21,7 +21,7 @@ class Graph:
     Instances are immutable; all edits produce new graphs.
     """
 
-    __slots__ = ("n", "_rows", "_hash")
+    __slots__ = ("n", "_rows")
 
     def __init__(self, n: int, rows: Iterable[int]):
         _check_order(n)
@@ -55,7 +55,6 @@ class Graph:
     def _set(self, n: int, rows: tuple[int, ...]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_hash", hash((n, rows)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -68,7 +67,7 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self._rows))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"

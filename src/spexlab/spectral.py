@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-import scipy.sparse as sp
 
 from .constructions import PathPartition
 from .graph import Graph, components_of
@@ -71,20 +70,32 @@ class ConvergenceError(RuntimeError):
         self.best = best
 
 
-def adjacency_csr(g: Graph) -> sp.csr_matrix:
-    """Adjacency matrix of g in CSR form: data 1.0, ascending columns in
-    every row, read from ``Graph.adjacency``."""
+def adjacency_csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the adjacency matrix of g in CSR form, read
+    from ``Graph.adjacency``: ascending columns in every row, and no data
+    array, since every entry is 1."""
     return _csr(g.adjacency())
 
 
-def _csr(adj: list[list[int]]) -> sp.csr_matrix:
-    """The CSR matrix of the neighbour lists ``adj``: indptr from their
-    lengths, indices their concatenation."""
+def _csr(adj: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """indptr from the lengths of the neighbour lists ``adj``, indices
+    their concatenation."""
     n = len(adj)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=n), out=indptr[1:])
     indices = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=indptr[-1])
-    return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    return indptr, indices
+
+
+def _product(a: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """A x in the dtype of x; ``a`` holds the row and the column of each
+    entry, in CSR order. ``np.add.at`` adds in index order, so each row is
+    summed from 0 in ascending column order like a CSR product; the pairwise
+    sums of ``np.add.reduceat`` or a dense ``@`` would move the last bits."""
+    rows, cols = a
+    y = np.zeros_like(x)
+    np.add.at(y, rows, x[cols])
+    return y
 
 
 def spectral_radius(
@@ -103,7 +114,6 @@ def spectral_radius(
     if not 0 < tol < math.inf:  # NaN fails too: it would certify any iterate
         raise ValueError(f"tol must be finite and positive, got {tol}")
     adj = g.adjacency()
-    a = _csr(adj)
     comps = components_of(adj)
     best: tuple[float, float, list[int], np.ndarray, str] | None = None
     total_iters = 0
@@ -112,7 +122,10 @@ def spectral_radius(
         if len(comp) == 1:
             rho_c, res_c, x_c, iters, path_c = 0.0, 0.0, np.ones(1), 0, "power"
         else:
-            sub = a if len(comp) == g.n else a[comp][:, comp]
+            sub = adj
+            if len(comp) < g.n:  # relabel by position; comp is sorted, so rows stay ascending
+                pos = {v: i for i, v in enumerate(comp)}
+                sub = [[pos[w] for w in adj[v]] for v in comp]
             rho_c, res_c, x_c, iters, converged, path_c = _power_iterate(
                 sub, tol, max_iterations - total_iters
             )
@@ -136,17 +149,19 @@ def spectral_radius(
     return est
 
 
-def _power_iterate(a: sp.csr_matrix, tol: float, budget: int):
+def _power_iterate(adj: list[list[int]], tol: float, budget: int):
     """rho, residual, unit Perron vector, steps, whether it converged, and
-    the path of one connected component (n >= 2), by the route the module
-    docstring describes. The longdouble route gets the whole budget, like
-    the float64 loop it replaces. That loop stops at residual <= tol, or
-    at the float64 rounding floor: when the residual has not improved for
-    200 iterations the best iterate is taken (its residual is still a
-    sound certificate), and if it sits above tol, ``_polish`` continues
-    from it with what is left of the budget.
+    the path of one connected component (n >= 2) with neighbour lists
+    ``adj``, by the route the module docstring describes. The longdouble
+    route gets the whole budget, like the float64 loop it replaces. That
+    loop stops at residual <= tol, or at the float64 rounding floor: when
+    the residual has not improved for 200 iterations the best iterate is
+    taken (its residual is still a sound certificate), and if it sits above
+    tol, ``_polish`` continues from it with what is left of the budget.
     """
-    deg = np.diff(a.indptr)
+    indptr, cols = _csr(adj)
+    deg = np.diff(indptr)
+    a = np.repeat(np.arange(len(deg)), deg), cols  # row and column of each entry
     x = deg / np.linalg.norm(deg)
     if _float64_floor(deg) > tol / 2:
         rho, res, x, iters = _polish(a, x, tol, budget)
@@ -155,7 +170,7 @@ def _power_iterate(a: sp.csr_matrix, tol: float, budget: int):
     since_improvement = 0
     iters = 0
     while iters < budget:
-        ax = a @ x
+        ax = _product(a, x)
         rho = float(x @ ax)
         res = float(np.linalg.norm(ax - rho * x))
         if res < best[0]:
@@ -217,13 +232,13 @@ def _rounding_slack(rho, terms: int) -> tuple[float, float]:
     return rho64, float(abs(rho - np.longdouble(rho64)) + ulps)
 
 
-def _longdouble_certificate(al: sp.csr_matrix, x: np.ndarray):
+def _longdouble_certificate(a: tuple[np.ndarray, np.ndarray], x: np.ndarray):
     """rho and ||Ax - rho x|| / ||x|| for a float64 x, summed in longdouble;
-    ``al`` is the adjacency matrix as a longdouble CSR.
+    ``a`` is the adjacency matrix as ``_product`` takes it.
 
     The adjacency matrix is exactly representable, so the only rounding in
     the certificate is the longdouble accumulation (~1e-19 relative). Each
-    (A x)_i is summed by the CSR product in row order, ascending columns;
+    (A x)_i is summed by ``_product`` in ascending column order;
     the inner products use ``.sum()``, since numpy's ``@`` on dense
     longdouble arrays loses that precision at n in the thousands. The
     bound |lambda_max - rho| <= residual then holds for the vector x as
@@ -232,15 +247,15 @@ def _longdouble_certificate(al: sp.csr_matrix, x: np.ndarray):
     holds for the float64 rho that is returned.
     """
     xl = x.astype(np.longdouble)
-    ax = al @ xl
+    ax = _product(a, xl)
     nrm2 = (xl * xl).sum()
     rho = (xl * ax).sum() / nrm2
-    rho64, slack = _rounding_slack(rho, int(np.diff(al.indptr).max()))
+    rho64, slack = _rounding_slack(rho, int(np.bincount(a[0]).max()))
     res = math.sqrt(float(((ax - rho * xl) ** 2).sum() / nrm2))
     return rho64, res + slack
 
 
-def _polish(a: sp.csr_matrix, x: np.ndarray, tol: float, budget: int):
+def _polish(a: tuple[np.ndarray, np.ndarray], x: np.ndarray, tol: float, budget: int):
     """Rayleigh-Ritz ascent in longdouble from x: rho, its certificate,
     the certified unit Perron vector and the number of steps.
 
@@ -257,7 +272,7 @@ def _polish(a: sp.csr_matrix, x: np.ndarray, tol: float, budget: int):
     join takes a handful of steps where the power step takes hundreds.
 
     A x is carried along as the same combination, so a step costs one
-    product, A p, on a longdouble copy of ``a`` (rows summed in ascending
+    product, A p, by ``_product`` in longdouble (rows summed in ascending
     column order); inner products and norms use ``.sum()``, not numpy's
     ``@`` on dense longdouble arrays. The loop stops at residual <= tol / 2,
     after 50 steps without improvement (the longdouble floor), or after
@@ -265,10 +280,9 @@ def _polish(a: sp.csr_matrix, x: np.ndarray, tol: float, budget: int):
     taken entrywise absolute and certified by ``_longdouble_certificate``,
     so the certificate holds for the vector returned.
     """
-    al = a.astype(np.longdouble)
     xl = x.astype(np.longdouble)
     xl /= np.sqrt((xl * xl).sum())
-    ax = al @ xl
+    ax = _product(a, xl)
     best = (np.inf, xl)
     since_improvement = 0
     iters = 0
@@ -284,7 +298,7 @@ def _polish(a: sp.csr_matrix, x: np.ndarray, tol: float, budget: int):
         if res <= tol * 0.5 or since_improvement >= 50 or iters >= budget:
             break
         p = r / res
-        ap = al @ p
+        ap = _product(a, p)
         h = (rho - (p * ap).sum()) / 2
         root = np.sqrt(h * h + res * res)
         tau = res / (h + root) if h > 0 else (root - h) / res  # (theta - rho) / ||r||
@@ -294,7 +308,7 @@ def _polish(a: sp.csr_matrix, x: np.ndarray, tol: float, budget: int):
         iters += 1
     x64 = np.abs(np.asarray(best[1], dtype=float))
     x64 /= np.linalg.norm(x64)
-    rho, res = _longdouble_certificate(al, x64)
+    rho, res = _longdouble_certificate(a, x64)
     return rho, res, x64, iters
 
 

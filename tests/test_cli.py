@@ -324,11 +324,48 @@ def test_verify_params_take_booleans_and_one_value_tuples(capsys, monkeypatch):
 
 
 def test_verify_false_switches_a_flag_off(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--suite", "thm-3", "--format", "csv",
-        "--param", "grid=False", "--param", "n_count=1", "--param", "dominance=false",
-    )
-    assert code == 0 and out.splitlines()[1] == "thm-3,0,0,0,0"
+    for params, row in (
+        (["grid=False"], "thm-3,2,2,0,0"),  # the two dominance cases
+        (["n_count=1", "dominance=false"], "thm-3,4,4,0,0"),  # one n per t
+    ):
+        argv = [a for p in params for a in ("--param", p)]
+        code, out, _ = run_cli(capsys, "verify", "--suite", "thm-3", "--format", "csv", *argv)
+        assert code == 0 and out.splitlines()[1] == row
+
+
+@pytest.mark.parametrize(
+    "suite,params,message",
+    [
+        ("claim-1.1", ["n_values=2"], "bound needs n > 5"),
+        ("lemma-lm5", ["cases=0"], "cases >= 1"),
+        ("thm-3", ["grid=False", "dominance=false"], "'thm-3' has no case"),
+    ],
+    ids=["claim-1.1", "lemma-lm5", "thm-3"],
+)
+def test_verify_refuses_a_suite_that_runs_no_case(capsys, suite, params, message):
+    argv = [a for p in params for a in ("--param", p)]
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--format", "csv", *argv)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "suite,params,message",
+    [
+        ("lemma-lm1", ["s2_max=0"], "s2_max >= 1"),  # was a ZeroDivisionError
+        ("lemma-lm1", ["margin=-10"], "margin >= 1"),  # never stopped
+        ("claim-3.2", ["grid=5"], "suite 'claim-3.2': bad parameter value"),
+        ("claim-3.1", ["grid=1"], "suite 'claim-3.1': bad parameter value"),
+        ("lemma-lm2", ["nmax=2", "family_ns="], "suite 'lemma-lm2': bad parameter value"),
+    ],
+    ids=["lemma-lm1-s2_max", "lemma-lm1-margin", "claim-3.2", "claim-3.1", "lemma-lm2"],
+)
+def test_verify_bad_param_value_exits_1(suite, params, message):
+    # in a child with a time limit, since one of these used to loop forever
+    argv = [a for p in params for a in ("--param", p)]
+    proc = run_cli_process(["verify", "--suite", suite, *argv], timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
 
 
 def test_verify_one_value_means_a_one_tuple(capsys):
@@ -442,16 +479,22 @@ def test_config_key_names_the_option_not_its_dest(tmp_path, capsys):
     assert (code, out) == (0, "planar=True\n")
 
 
-def test_console_entry_point_smoke():
-    # The child imports the same spexlab as these tests, installed or not.
+def run_cli_process(argv: list[str], **kw) -> subprocess.CompletedProcess:
+    """``python -m spexlab.cli`` in a child that imports the same spexlab
+    as these tests, installed or not."""
     src = str(Path(spexlab.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "spexlab.cli", "rho", "--family", "wheel:n=10", "--format", "json"],
+    return subprocess.run(
+        [sys.executable, "-m", "spexlab.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
+        **kw,
     )
+
+
+def test_console_entry_point_smoke():
+    proc = run_cli_process(["rho", "--family", "wheel:n=10", "--format", "json"])
     assert proc.returncode == 0
     assert abs(json.loads(proc.stdout)["rho"] - (1 + math.sqrt(10))) <= 1e-9
 

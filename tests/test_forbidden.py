@@ -14,7 +14,6 @@ from helpers import graphs, random_graph, random_hubbed_graph, to_nx
 from spexlab.constructions import FamilySpec, PathPartition, construct, joined_paths
 from spexlab.forbidden import (
     ForbiddenSpec,
-    all_l_cycles_at,
     contains_bouquet,
     contains_cycle_of_length,
     find_bouquet,
@@ -466,21 +465,26 @@ def test_hub_cycle_count_when_int_hashes_collide():
     check_bouquet_witness(f, 62, 3, find_bouquet(f, 62, 3))
 
 
-def test_all_l_cycles_at_matches_reference():
+def test_hub_walk_visits_each_l_cycle_once():
     rnd = random.Random(515)
     for _ in range(30):
         g = random_graph(rnd, rnd.randint(5, 9), rnd.choice([0.3, 0.5]))
         for l in (3, 4, 5):
             for v in range(g.n):
-                assert all_l_cycles_at(g, v, l) == reference_all_l_cycles_at(g, v, l)
+                seen = []
 
+                def sink(path, inner, ends, v=v, l=l):
+                    for z in range(g.n):
+                        if ends >> z & 1:
+                            cyc = [v, *path, z]
+                            seen.append(frozenset(
+                                (min(cyc[i - 1], cyc[i]), max(cyc[i - 1], cyc[i]))
+                                for i in range(l)
+                            ))
 
-def test_all_l_cycles_at_are_edge_sets():
-    w = join(complete(1), cycle(4))
-    triangles = all_l_cycles_at(w, 0, 3)
-    assert len(triangles) == 4
-    for t in triangles:
-        assert len(t) == 3 and all(w.has_edge(u, v) for u, v in t)
+                forbidden._walk_hub_cycles(g.rows(), v, l, sink)
+                assert len(seen) == len(set(seen))
+                assert sorted(seen, key=sorted) == reference_all_l_cycles_at(g, v, l)
 
 
 def reference_max_edge_disjoint(g: Graph, v: int, l: int, cap: int) -> int:
@@ -488,7 +492,7 @@ def reference_max_edge_disjoint(g: Graph, v: int, l: int, cap: int) -> int:
     backtracking over the cycles' frozenset edge sets."""
     if cap < 1:
         return 0
-    cycles = all_l_cycles_at(g, v, l)
+    cycles = reference_all_l_cycles_at(g, v, l)
     best = 0
 
     def rec(i: int, used: frozenset, count: int) -> int:

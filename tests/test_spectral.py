@@ -54,6 +54,13 @@ from spexlab.spectral import (
 )
 
 
+def scipy_csr(g: Graph) -> sp.csr_matrix:
+    """The adjacency matrix as a scipy CSR, from the arrays of
+    ``adjacency_csr``; scipy is only a test dependency."""
+    indptr, indices = adjacency_csr(g)
+    return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(g.n, g.n))
+
+
 def charpoly(g: Graph) -> list[Fraction]:
     """Exact monic characteristic polynomial of the adjacency matrix via
     Faddeev-LeVerrier; coefficients for x^n, x^(n-1), ..., x^0."""
@@ -156,7 +163,7 @@ def test_estimate_contract():
     for _ in range(25):
         g = random_connected_graph(rnd, rnd.randint(3, 25), 0.3)
         est = spectral_radius(g)
-        a = adjacency_csr(g)
+        a = scipy_csr(g)
         x = est.perron
         assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
         assert (x > 0).all()  # connected => strictly positive vector
@@ -185,7 +192,7 @@ def test_arpack_cross_check():
         g = random_connected_graph(rnd, rnd.randint(10, 60), 0.15)
         est = spectral_radius(g)
         ref = float(
-            spla.eigsh(adjacency_csr(g).astype(float), k=1, which="LA")[0][0]
+            spla.eigsh(scipy_csr(g), k=1, which="LA")[0][0]
         )
         assert abs(est.rho - ref) <= 1e-8
 
@@ -208,12 +215,10 @@ def reference_csr(g: Graph):
 
 
 def assert_builder_matches(g: Graph):
-    a, ref = adjacency_csr(g), reference_csr(g)
-    assert a.shape == (g.n, g.n)
-    assert a.has_canonical_format
-    assert np.array_equal(a.indptr, ref.indptr)
-    assert np.array_equal(a.indices, ref.indices)
-    assert (a.data == 1.0).all()
+    (indptr, indices), ref = adjacency_csr(g), reference_csr(g)
+    assert np.array_equal(indptr, ref.indptr)
+    assert np.array_equal(indices, ref.indices)
+    assert scipy_csr(g).has_canonical_format
 
 
 def test_adjacency_csr_matches_edge_list():
@@ -245,11 +250,31 @@ def test_adjacency_csr_matches_edge_list_on_hub_joins_at_scale(name, params):
     assert_builder_matches(construct(FamilySpec(name, 10**4, **params)))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_product_keeps_the_bits_of_a_csr_product(dtype):
+    # every row summed from 0 in ascending column order, as scipy sums it,
+    # also on the hub rows of 10^4 terms where another order moves bits
+    rng = np.random.default_rng(4)
+    hub_join = construct(FamilySpec("k2hp", 10**4, t=3, l=5))
+    for g in (hub_join, random_graph(random.Random(4), 300, 0.2)):
+        indptr, cols = adjacency_csr(g)
+        rows = np.repeat(np.arange(g.n), np.diff(indptr))
+        x = rng.random(g.n).astype(dtype)
+        got = spectral._product((rows, cols), x)
+        assert got.dtype == dtype
+        assert np.array_equal(got, scipy_csr(g).astype(dtype) @ x)
+
+
 def _modules_after(code: str, names: str) -> str:
     """Run ``code`` in a fresh interpreter on this checkout's spexlab and
-    print which of the module ``names`` it left in sys.modules."""
+    print which modules it left in sys.modules that are one of the
+    packages ``names`` or inside one."""
     src = str(Path(spectral.__file__).resolve().parent.parent)
-    code += f"import sys\nprint(sorted(set({names!r}.split()) & set(sys.modules)))\n"
+    code += (
+        f"import sys\nnames = {names!r}.split()\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if any(m == k or m.startswith(k + '.') for k in names)))\n"
+    )
     pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -261,16 +286,21 @@ def _modules_after(code: str, names: str) -> str:
     return proc.stdout.strip()
 
 
-def test_solve_leaves_csgraph_unimported():
-    # scipy.sparse.csgraph costs about 0.1 s and 10 MB to import; components
-    # come from Graph.components instead
+def test_spexlab_leaves_scipy_unimported():
+    # scipy.sparse costs every process about 0.15 s and 13 MB to import;
+    # the solver multiplies by its own CSR arrays, and components come from
+    # Graph.adjacency. The disconnected graph takes the longdouble route at
+    # tol 1e-15 and the float64 one at the default tol.
     code = (
-        "import spexlab\n"
+        "import spexlab, spexlab.cli\n"
+        "from spexlab.search import SearchConfig, exhaustive_spex\n"
         "from spexlab.spectral import spectral_radius\n"
         "g = spexlab.disjoint_union([spexlab.cycle(5), spexlab.complete(4), spexlab.empty_graph(1)])\n"
-        "spectral_radius(g, 1e-13)\n"
+        "assert spectral_radius(g, 1e-15).path == 'polish'\n"
+        "assert spectral_radius(g).path == 'power'\n"
+        "exhaustive_spex(SearchConfig(4, 6))\n"
     )
-    assert _modules_after(code, "scipy.sparse.csgraph") == "[]"
+    assert _modules_after(code, "scipy") == "[]"
 
 
 def test_solvers_leave_recognition_and_networkx_unimported():
@@ -423,7 +453,7 @@ def test_default_tol_keeps_small_graphs_on_the_float64_path():
 def test_hub_joins_at_scale_take_the_longdouble_solve(name, params, hubs):
     spec = FamilySpec(name, 10**4, **params)
     g = construct(spec)
-    deg = np.diff(adjacency_csr(g).indptr)
+    deg = np.diff(adjacency_csr(g)[0])
     delta, m = g.n - 1, g.edge_count()
     k = (delta + 2) * 2.0**-53
     floor = k / (1 - k) * 2 * min(delta, math.sqrt(2 * m - g.n + 1))
@@ -725,6 +755,5 @@ def test_secular_solver_is_linear_in_the_path_length():
     assert peak < 20 * 2**20  # the dense quotient alone holds 5001^2 float64s, 200 MB
     h = PathPartition([20000])
     est = joined_paths_radius(1, h)
-    a = adjacency_csr(joined_paths(1, h))
-    ref = float(spla.eigsh(a, k=1, which="LA")[0][0])
+    ref = float(spla.eigsh(scipy_csr(joined_paths(1, h)), k=1, which="LA")[0][0])
     assert abs(est.rho - ref) <= 1e-12 * ref
