@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import sys
 from bisect import insort
 from collections import deque
 from collections.abc import Callable, Iterator
@@ -143,7 +144,7 @@ def _shu_case(name: str, info: dict, build: Callable[[], Graph]) -> Case:
 
 def _lemma_lm2(nmax=7, family_ns=(100, 1000, 10000)) -> Iterator[Case]:
     exhaustive_count = 0
-    for n in range(3, int(nmax) + 1):
+    for n in range(3, nmax + 1):
         for g in enumerate_class(n, "outerplanar", None, connected_only=True):
             exhaustive_count += 1
             yield _shu_case(f"enum-n{n}-{exhaustive_count}", {"n": g.n}, lambda g=g: g)
@@ -163,7 +164,6 @@ def _monotonicity_cases(hubs: int, s2_max=6, cases=50, margin=1.15) -> Iterator[
     """Partition pairs (h, transform of h) at n of ``margin`` times the
     step threshold; the lemmas claim nothing below it. Every such n
     exceeds hubs + s1 + s2, so each h has filler parts."""
-    s2_max, cases, margin = int(s2_max), int(cases), float(margin)
     if cases < 1 or s2_max < 1 or margin < 1:
         raise ValueError("the lemma needs cases >= 1, s2_max >= 1 and margin >= 1")
     for idx in range(cases):
@@ -235,7 +235,6 @@ def _box_cases(hubs: int, grid) -> Iterator[Case]:
 def _claim_3_2(
     grid=((5, 3, 300), (7, 4, 600), (6, 5, 1400), (9, 6, 3400)), eps=1e-8
 ) -> Iterator[Case]:
-    eps = float(eps)
     for s1, s2, n in grid:
 
         def fn(s1=s1, s2=s2, n=n):
@@ -285,7 +284,7 @@ def _claim_3_3(ls=(5, 6, 7, 8), total_cap=20) -> Iterator[Case]:
         for n1 in (l - 3, l - 2, l - 1, l):
             for extra in ((), (1,), (min(n1, l - 2), 1)):
                 parts = [n1, *extra]
-                if sum(parts) > int(total_cap):
+                if sum(parts) > total_cap:
                     continue
                 h = PathPartition(parts)
                 info = {"l": l, "parts": list(h.parts)}
@@ -361,7 +360,7 @@ def _thm_1_structure(nmax=7) -> Iterator[Case]:
     ]
     agreement: dict[str, bool] = {}
     for spec in specs:
-        top = int(nmax) if spec.kind != "bouquet" else min(int(nmax), 7)
+        top = nmax if spec.kind != "bouquet" else min(nmax, 7)
         for n in range(5, top + 1):
 
             def fn(spec=spec, n=n):
@@ -462,12 +461,12 @@ def _theorem_cases(
                 forb = ForbiddenSpec.matching(t + 1)
             else:
                 forb = ForbiddenSpec.bouquet(t, l)
-            for n in range(n_lo, n_lo + int(n_count)):
+            for n in range(n_lo, n_lo + n_count):
                 yield _soundness_case(FamilySpec(kind, n, t=t, l=l), forb)
     if dominance:
         for t, l in product(dom_ts, dom_ls):
-            spec = FamilySpec(kind, int(n_dom), t=t, l=l)
-            yield _dominance_case(spec, int(siblings), int(s2_cap))
+            spec = FamilySpec(kind, n_dom, t=t, l=l)
+            yield _dominance_case(spec, siblings, s2_cap)
 
 
 def _remark_rk111(n_values=(8, 20, 101), ls=(5, 6, 7, 9)) -> Iterator[Case]:
@@ -498,7 +497,7 @@ def _bouquet_semantics(ts=(2, 3), ls=(3, 4, 5), span=4) -> Iterator[Case]:
     divergences: list[str] = []  # kept sorted as the cases fill it
     for t, l in product(ts, ls):
         n_lo = t * l - t - l + 2
-        for n in range(n_lo, n_lo + int(span)):
+        for n in range(n_lo, n_lo + span):
             spec = FamilySpec("k2hp", n, t=t, l=l)
 
             def fn(spec=spec, t=t, l=l):
@@ -594,6 +593,18 @@ SUITES: dict[str, Suite] = {
 }
 
 
+def _fits(value, default) -> bool:
+    """Does ``value`` have the shape of a parameter's ``default``? A bool
+    takes a bool, an int an int but not a bool, a float an int or float
+    that is finite as a float, and a tuple a tuple whose elements fit its
+    first element."""
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and all(_fits(v, default[0]) for v in value)
+    if type(default) is float and type(value) in (int, float):
+        return abs(value) <= sys.float_info.max  # false for inf, nan and huge ints
+    return type(value) is type(default)
+
+
 def run_suite(suite: str, params: dict | None = None) -> SuiteResult:
     """Run one suite's cases in order; ``params`` are keyword arguments of
     the suite's builder. A key it does not take, a value of the wrong
@@ -609,6 +620,13 @@ def run_suite(suite: str, params: dict | None = None) -> SuiteResult:
             f"suite {suite!r} takes no parameter {', '.join(unknown)};"
             f" accepted: {', '.join(sorted(keys))}"
         )
+    defaults = SUITES[suite].defaults
+    for key in sorted(params):
+        if not _fits(params[key], defaults[key]):
+            raise ValueError(
+                f"suite {suite!r}: bad parameter value {key}={params[key]!r};"
+                f" it must have the shape of the default {defaults[key]!r}"
+            )
     builder = SUITES[suite].build(**params)
     cases: list[Case] = []
     try:
@@ -616,8 +634,6 @@ def run_suite(suite: str, params: dict | None = None) -> SuiteResult:
             cases.append(next(builder))
     except StopIteration as done:  # the builder returns the details
         details = done.value
-    except TypeError as e:  # say, a number where the builder unpacks a tuple
-        raise ValueError(f"suite {suite!r}: bad parameter value: {e}") from None
     if not cases:
         raise ValueError(f"suite {suite!r} has no case for these parameters")
     return _run_cases(suite, cases, details)

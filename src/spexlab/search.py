@@ -283,12 +283,26 @@ def canonical_form(g: Graph) -> bytes:
 # enumeration
 
 
-def _class_checks(klass: str):
+PRUNING = (  # the counters of one enumeration, reported as an entry's "pruned"
+    "children", "duplicate", "quick_reject", "class_reject",
+    "forbidden_reject", "disconnected", "emitted",
+)
+
+
+def _reject(g: Graph, klass: str, forbidden: ForbiddenSpec | None) -> str | None:
+    """The pruning counter that ``g`` falls in, or None when ``g`` is in
+    ``klass`` and ``forbidden``-free. The quick edge bound only refutes."""
     if klass == "outerplanar":
-        return quick_reject_outerplanar, is_outerplanar
-    if klass == "planar":
-        return quick_reject_planar, is_planar
-    raise ValueError(f"class must be one of {CLASSES}, got {klass!r}")
+        quick, full = quick_reject_outerplanar, is_outerplanar
+    else:
+        quick, full = quick_reject_planar, is_planar
+    if quick(g) is False:
+        return "quick_reject"
+    if not full(g):
+        return "class_reject"
+    if forbidden is not None and not is_free(g, forbidden):
+        return "forbidden_reject"
+    return None
 
 
 def _orbit_minima(g: Graph, gens: list[tuple[int, ...]]) -> list[tuple[int, int]]:
@@ -321,14 +335,15 @@ def _orbit_minima(g: Graph, gens: list[tuple[int, ...]]) -> list[tuple[int, int]
     return [divmod(p, n) for p in free if find(p) == p]
 
 
-def _enumerate_levels(
+def _enumerate(
     n: int,
     klass: str,
     forbidden: ForbiddenSpec | None,
+    connected_only: bool,
     stats: dict[str, int],
 ) -> Iterator[tuple[bytes, Graph]]:
     """(canonical form, representative) for every qualifying class, level
-    by level.
+    by level; with ``connected_only``, disconnected ones are only counted.
 
     Each parent adds one edge per orbit of its non-edges under the
     automorphisms found while canonicalizing it, choosing the orbit's
@@ -341,13 +356,17 @@ def _enumerate_levels(
     rows another parent of the level already produced is such a duplicate
     and is not canonicalized again.
     """
-    quick, full = _class_checks(klass)
     root = empty_graph(n)
     form, gens = _canon(root)
     seen = {form}
     level = [(form, root, gens)]
-    yield form, root
     while level:
+        for form, g, _ in level:
+            if connected_only and not g.is_connected():
+                stats["disconnected"] += 1
+                continue
+            stats["emitted"] += 1
+            yield form, g
         nxt: list[tuple[bytes, Graph, list[tuple[int, ...]]]] = []
         labelled: set[Graph] = set()
         for _, g, gens in level:
@@ -364,41 +383,13 @@ def _enumerate_levels(
                     continue
                 seen.add(form)
                 stats["duplicate"] -= 1
-                if quick(child) is False:
-                    stats["quick_reject"] += 1
-                    continue
-                if not full(child):
-                    stats["class_reject"] += 1
-                    continue
-                if forbidden is not None and not is_free(child, forbidden):
-                    stats["forbidden_reject"] += 1
+                reason = _reject(child, klass, forbidden)
+                if reason is not None:
+                    stats[reason] += 1
                     continue
                 nxt.append((form, child, child_gens))
         nxt.sort(key=lambda t: t[0])
         level = nxt
-        for form, g, _ in level:
-            yield form, g
-
-
-def _enumerate(
-    n: int,
-    klass: str,
-    forbidden: ForbiddenSpec | None,
-    connected_only: bool,
-    cap: int,
-    stats: dict[str, int],
-) -> Iterator[tuple[bytes, Graph]]:
-    if n > cap:
-        raise CapExceededError(
-            f"exhaustive enumeration at n={n} exceeds the cap {cap}; raise the"
-            " cap explicitly if you accept the cost, or use local search"
-        )
-    for form, g in _enumerate_levels(n, klass, forbidden, stats):
-        if connected_only and not g.is_connected():
-            stats["disconnected"] += 1
-            continue
-        stats["emitted"] += 1
-        yield form, g
 
 
 def enumerate_class(
@@ -410,20 +401,15 @@ def enumerate_class(
 ) -> Iterator[Graph]:
     """One representative per isomorphism class of qualifying n-vertex
     graphs, in deterministic order (by edge count, then canonical form)."""
-    for _, g in _enumerate(n, klass, forbidden, connected_only, cap, _fresh_stats()):
+    if klass not in CLASSES:
+        raise ValueError(f"class must be one of {CLASSES}, got {klass!r}")
+    if n > cap:
+        raise CapExceededError(
+            f"exhaustive enumeration at n={n} exceeds the cap {cap}; raise the"
+            " cap explicitly if you accept the cost, or use local search"
+        )
+    for _, g in _enumerate(n, klass, forbidden, connected_only, dict.fromkeys(PRUNING, 0)):
         yield g
-
-
-def _fresh_stats() -> dict[str, int]:
-    return {
-        "children": 0,
-        "duplicate": 0,
-        "quick_reject": 0,
-        "class_reject": 0,
-        "forbidden_reject": 0,
-        "disconnected": 0,
-        "emitted": 0,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -559,16 +545,9 @@ def exhaustive_spex(config: SearchConfig) -> SearchReport:
     for n in range(config.n_min, config.n_max + 1):
         if n in done:
             continue
-        stats = _fresh_stats()
+        stats = dict.fromkeys(PRUNING, 0)
         found = list(
-            _enumerate(
-                n,
-                config.klass,
-                config.forbidden,
-                config.connected_only,
-                config.exhaustive_cap,
-                stats,
-            )
+            _enumerate(n, config.klass, config.forbidden, config.connected_only, stats)
         )
         entries.append(_best_entry(n, found, stats))
         entries.sort(key=lambda e: e["n"])
@@ -582,12 +561,9 @@ def exhaustive_spex(config: SearchConfig) -> SearchReport:
 
 
 def _qualifies(g: Graph, config: SearchConfig) -> bool:
-    _, full = _class_checks(config.klass)
     if config.connected_only and not g.is_connected():
         return False
-    if not full(g):
-        return False
-    return config.forbidden is None or is_free(g, config.forbidden)
+    return _reject(g, config.klass, config.forbidden) is None
 
 
 def _moves(g: Graph) -> Iterator[tuple[str, Graph]]:
@@ -629,6 +605,8 @@ def local_search_spex(
     each seeded random restart climbs after a few random qualifying moves."""
     if config.mode != "local":
         raise ValueError("config.mode must be 'local'")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     if not config.n_min <= start.n <= config.n_max:
         raise ValueError(
             f"start graph has n={start.n}, outside the search range"

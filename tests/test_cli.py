@@ -262,6 +262,8 @@ def test_usage_errors_exit_1(capsys):
         ("search", "--nmin", "3", "--nmax", "4", "--threads", "2"),  # removed
         ("transform", "--partition", "2,x", "--i", "0", "--j", "1"),
         ("search", "--nmin", "4", "--nmax", "20"),  # exhaustive cap
+        ("search", "--mode", "local", "--start-g6", "EhCG", "--nmin", "6", "--nmax", "6",
+         "--restarts", "-3"),  # used to exit 0 having run no restart
         ("frobnicate",),
         ("rho", "--family", "wheel:n=5", "--no-such-flag",),
     ]
@@ -357,8 +359,20 @@ def test_verify_refuses_a_suite_that_runs_no_case(capsys, suite, params, message
         ("claim-3.2", ["grid=5"], "suite 'claim-3.2': bad parameter value"),
         ("claim-3.1", ["grid=1"], "suite 'claim-3.1': bad parameter value"),
         ("lemma-lm2", ["nmax=2", "family_ns="], "suite 'lemma-lm2': bad parameter value"),
+        # each value is checked against the shape of its default before any
+        # case runs: these used to exit 3, or run with s2_max = 2
+        ("thm-2", ["n_dom=inf"], "suite 'thm-2': bad parameter value n_dom=inf"),
+        ("lemma-lm5", ["cases=inf"], "suite 'lemma-lm5': bad parameter value cases=inf"),
+        ("lemma-lm2", ["nmax=inf"], "suite 'lemma-lm2': bad parameter value nmax=inf"),
+        ("claim-4.3", ["ts=2.5"], "suite 'claim-4.3': bad parameter value ts=(2.5,)"),
+        ("lemma-lm1", ["s2_max=2.5"], "suite 'lemma-lm1': bad parameter value s2_max=2.5"),
+        ("lemma-lm1", ["margin=1" + "0" * 400], "bad parameter value margin=1000"),  # no float
     ],
-    ids=["lemma-lm1-s2_max", "lemma-lm1-margin", "claim-3.2", "claim-3.1", "lemma-lm2"],
+    ids=[
+        "lemma-lm1-s2_max", "lemma-lm1-margin", "claim-3.2", "claim-3.1", "lemma-lm2",
+        "thm-2-n_dom-inf", "lemma-lm5-cases-inf", "lemma-lm2-nmax-inf", "claim-4.3-ts-float",
+        "lemma-lm1-s2_max-float", "lemma-lm1-margin-huge-int",
+    ],
 )
 def test_verify_bad_param_value_exits_1(suite, params, message):
     # in a child with a time limit, since one of these used to loop forever

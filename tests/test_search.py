@@ -113,6 +113,26 @@ def test_enumeration_cap():
         list(enumerate_class(4, "chordal"))
 
 
+@pytest.mark.parametrize("connected_only", [True, False])
+@pytest.mark.parametrize("forbidden", [None, "C3", "M2", "B2x3"])
+@pytest.mark.parametrize("klass", search.CLASSES)
+def test_pruning_counters_balance(klass, forbidden, connected_only):
+    """Every new class is rejected or kept once, and every kept graph and
+    the root is emitted or disconnected; the enumerator emits only graphs
+    that qualify for local search too."""
+    spec = ForbiddenSpec.parse(forbidden) if forbidden else None
+    for n in range(1, 8):
+        stats = dict.fromkeys(search.PRUNING, 0)
+        found = [g for _, g in search._enumerate(n, klass, spec, connected_only, stats)]
+        rejected = sum(
+            stats[k] for k in ("duplicate", "quick_reject", "class_reject", "forbidden_reject")
+        )
+        assert stats["children"] - rejected == stats["emitted"] + stats["disconnected"] - 1
+        assert stats["emitted"] == len(found)
+        config = SearchConfig(n, n, klass, spec, connected_only, "local")
+        assert all(search._qualifies(g, config) for g in found)
+
+
 def test_exhaustive_spex_small_outerplanar():
     report = exhaustive_spex(SearchConfig(n_min=4, n_max=5))
     assert [e["n"] for e in report.entries] == [4, 5]
@@ -287,6 +307,8 @@ def test_local_search_validation():
     cfg = SearchConfig(n_min=5, n_max=5, mode="local")
     with pytest.raises(ValueError, match="start graph"):
         local_search_spex(cfg, complete(5))  # not outerplanar
+    with pytest.raises(ValueError, match="restarts must be >= 0, got -3"):
+        local_search_spex(cfg, path(5), restarts=-3)  # used to run no restart
 
 
 def test_local_search_refuses_a_start_outside_the_range(monkeypatch):
