@@ -6,7 +6,11 @@ suite reported failures), 3 internal or convergence error. Diagnostics go
 to stderr; results go to stdout or the --out file. Each command declares
 its formats and returns its exit code and its text in each; another
 format is a usage error, raised before the command runs. A --config file
-holds key=value lines (flag names without the dashes); explicit flags win.
+holds key=value lines, each read as the flag it names without the dashes:
+the lines go in right after the verb, so explicit flags win, and argparse
+checks their types, choices and required flags like any other. A switch
+line takes true or false. Only --param values are coerced (to int, float,
+bool or tuple).
 """
 
 from __future__ import annotations
@@ -15,14 +19,15 @@ import argparse
 import json
 import sys
 
-from .constructions import FamilySpec, PathPartition, construct, transform
+from .constructions import FAMILY_KINDS, FamilySpec, PathPartition, construct, transform
 from .constructions import transform_successors
 from .forbidden import ForbiddenSpec, is_free
 from .graph import Graph
 from .graph6 import graph6_decode, graph6_encode
 from .recognition import is_outerplanar, is_planar
-from .search import CLASSES, MODES, SearchConfig, exhaustive_spex, local_search_spex
-from .spectral import ConvergenceError, spectral_radius
+from .search import CLASSES, EXHAUSTIVE_CAP, MODES, SearchConfig
+from .search import exhaustive_spex, local_search_spex
+from .spectral import DEFAULT_TOL, ConvergenceError, spectral_radius
 from . import experiments
 
 EXIT_OK = 0
@@ -45,62 +50,57 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="spexlab", description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    p.sub_map = {}
-
-    def _sub(name, **kw):
-        sp = sub.add_parser(name, **kw)
-        p.sub_map[name] = sp
-        return sp
+    sub = p.add_subparsers(dest="subcommand", metavar="SUBCOMMAND", required=True)
+    p.sub_map = sub.choices  # verb name -> its parser
 
     def common(sp):
         sp.add_argument("--format", choices=FORMATS, default="text")
         sp.add_argument("--out", default=None, help="write results here instead of stdout")
-        sp.add_argument("--config", default=None, help="key=value defaults file")
+        sp.add_argument("--config", default=None, help="file of key=value lines read as flags")
 
-    sp = _sub("construct", description="Build a named family graph.")
-    sp.add_argument("--family", required=True, help="kind:t=..,l=..,n=.. (wheel/star/jn/k2n2/claimw/k1hop/k2hp)")
+    sp = sub.add_parser("construct", description="Build a named family graph.")
+    sp.add_argument("--family", required=True, help=f"kind:t=..,l=..,n=.. ({'/'.join(FAMILY_KINDS)})")
     common(sp)
     sp.set_defaults(handler=_cmd_construct, formats=FORMATS)
 
-    sp = _sub("check", description="Class membership and freeness checks.")
+    sp = sub.add_parser("check", description="Class membership and freeness checks.")
     _graph_input(sp)
     sp.add_argument("--class", dest="klass", choices=CLASSES, default=None)
     sp.add_argument("--forbidden", default=None, help="C{l}, B{t}x{l} or M{k}")
     common(sp)
     sp.set_defaults(handler=_cmd_check, formats=_TABLE_FORMATS)
 
-    sp = _sub("rho", description="Certified spectral radius.")
+    sp = sub.add_parser("rho", description="Certified spectral radius.")
     _graph_input(sp)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     common(sp)
     sp.set_defaults(handler=_cmd_rho, formats=_TABLE_FORMATS)
 
-    sp = _sub("transform", description="Apply one path-partition transformation.")
-    sp.add_argument("--partition", default=None, help="comma-separated path orders, e.g. 5,2,2")
+    sp = sub.add_parser("transform", description="Apply one path-partition transformation.")
+    sp.add_argument("--partition", required=True, help="comma-separated path orders, e.g. 5,2,2")
     sp.add_argument("--i", type=int, default=0, help="index of the longer part (0-based)")
     sp.add_argument("--j", type=int, default=1, help="index of the shorter part (0-based)")
     sp.add_argument("--successors", action="store_true", help="list every one-step successor instead")
     common(sp)
     sp.set_defaults(handler=_cmd_transform, formats=_TABLE_FORMATS)
 
-    sp = _sub("search", description="Spectral-maximizer search over a graph class.")
-    sp.add_argument("--nmin", type=int, default=None)
-    sp.add_argument("--nmax", type=int, default=None)
+    sp = sub.add_parser("search", description="Spectral-maximizer search over a graph class.")
+    sp.add_argument("--nmin", type=int, required=True)
+    sp.add_argument("--nmax", type=int, required=True)
     sp.add_argument("--class", dest="klass", choices=CLASSES, default="outerplanar")
     sp.add_argument("--forbidden", default=None)
     sp.add_argument("--mode", choices=MODES, default="exhaustive")
     sp.add_argument("--disconnected", action="store_true", help="drop the connected-only restriction")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--checkpoint", default=None)
-    sp.add_argument("--cap", type=int, default=10, help="refuse exhaustive search above this n")
+    sp.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP, help="refuse exhaustive search above this n")
     sp.add_argument("--start-g6", default=None, help="start graph for local mode")
     sp.add_argument("--restarts", type=int, default=0)
     common(sp)
     sp.set_defaults(handler=_cmd_search, formats=FORMATS)
 
-    sp = _sub("verify", description="Run a verification suite (or 'all').")
-    sp.add_argument("--suite", default=None)
+    sp = sub.add_parser("verify", description="Run a verification suite (or 'all').")
+    sp.add_argument("--suite", required=True)
     sp.add_argument("--param", action="append", default=[], help="suite keyword argument key=value")
     common(sp)
     sp.set_defaults(handler=_cmd_verify, formats=_TABLE_FORMATS)
@@ -109,13 +109,12 @@ def _build_parser() -> _Parser:
 
 
 def _graph_input(sp):
-    sp.add_argument("--g6", default=None, help="graph6 line")
-    sp.add_argument("--family", default=None, help="family spec as in construct")
+    one = sp.add_mutually_exclusive_group(required=True)
+    one.add_argument("--g6", default=None, help="graph6 line")
+    one.add_argument("--family", default=None, help="family spec as in construct")
 
 
 def _load_graph(args) -> Graph:
-    if (args.g6 is None) == (args.family is None):
-        raise UsageError("provide exactly one of --g6 / --family")
     if args.g6 is not None:
         return graph6_decode(args.g6)
     return construct(FamilySpec.parse(args.family))
@@ -134,24 +133,26 @@ def _coerce(text: str):
     return text
 
 
-def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    """Parse argv over the verb's --config defaults. A key names one of
-    the verb's options, without the dashes; any other key is a usage
-    error."""
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        verb = parser.sub_map[args.subcommand]
-        dests = {
-            opt.lstrip("-").replace("-", "_"): action.dest
-            for action in verb._actions
+def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv with its --config lines put right after the verb as the
+    flags they name, so explicit flags, which come later, win. A key names
+    one of the verb's options, without the dashes; any other key is a usage
+    error. A switch takes true or false (any case) and is given when true."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config", default=None)
+    path = pre.parse_known_args(argv)[0].config
+    if path and argv[0] in parser.sub_map:
+        options = {
+            opt.lstrip("-").replace("-", "_"): (opt, action.nargs == 0)
+            for action in parser.sub_map[argv[0]]._actions
             if action.dest != "help"
             for opt in action.option_strings
         }
-        defaults = {}
+        flags = []
         try:
-            fh = open(args.config)
+            fh = open(path)
         except OSError as e:
-            raise UsageError(f"cannot read --config {args.config}: {e.strerror}") from None
+            raise UsageError(f"cannot read --config {path}: {e.strerror}") from None
         with fh:
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
@@ -160,29 +161,25 @@ def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
                 if "=" not in line:
                     raise UsageError(f"bad config line {raw.rstrip()!r}")
                 key, _, val = line.partition("=")
-                key = key.strip().replace("-", "_")
-                if key not in dests:
-                    raise UsageError(f"--config key {key!r} is not an option of {args.subcommand}")
-                defaults[dests[key]] = _coerce(val.strip())
-        verb.set_defaults(**defaults)
-        args = parser.parse_args(argv)  # explicit flags still win
-    return args
+                key, val = key.strip().replace("-", "_"), val.strip()
+                if key not in options:
+                    raise UsageError(f"--config key {key!r} is not an option of {argv[0]}")
+                opt, switch = options[key]
+                if not switch:
+                    flags.append(f"{opt}={val}")
+                elif val.lower() not in ("true", "false"):
+                    raise UsageError(f"--config key {key!r} takes true or false, not {val!r}")
+                elif val.lower() == "true":
+                    flags.append(opt)
+        argv = argv[:1] + flags + argv[1:]
+    return parser.parse_args(argv)
 
 
 def _csv(header: str, rows: list[str]) -> str:
     return "\n".join([header] + rows)
 
 
-def _require(args, *names) -> None:
-    """Required flags are enforced here, not by argparse, so a --config
-    file can supply them."""
-    for name in names:
-        if getattr(args, name) is None:
-            raise UsageError(f"--{name} is required")
-
-
 def _cmd_construct(args) -> tuple[int, dict[str, str]]:
-    _require(args, "family")
     spec = FamilySpec.parse(args.family)
     g = construct(spec)
     enc = graph6_encode(g)
@@ -250,7 +247,6 @@ def _parse_partition(text: str) -> PathPartition:
 
 
 def _cmd_transform(args) -> tuple[int, dict[str, str]]:
-    _require(args, "partition")
     h = _parse_partition(args.partition)
     if args.successors:
         succ = transform_successors(h)
@@ -272,7 +268,6 @@ def _cmd_transform(args) -> tuple[int, dict[str, str]]:
 
 
 def _cmd_search(args) -> tuple[int, dict[str, str]]:
-    _require(args, "nmin", "nmax")
     forbidden = ForbiddenSpec.parse(args.forbidden) if args.forbidden else None
     config = SearchConfig(
         n_min=args.nmin,
@@ -304,7 +299,6 @@ def _cmd_search(args) -> tuple[int, dict[str, str]]:
 
 
 def _cmd_verify(args) -> tuple[int, dict[str, str]]:
-    _require(args, "suite")
     params: dict = {}
     for item in args.param:
         if "=" not in item:
@@ -360,9 +354,7 @@ def _emit(text: str, out: str | None) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = _apply_config(parser, sys.argv[1:] if argv is None else argv)
-        if getattr(args, "handler", None) is None:
-            raise UsageError("missing subcommand; see --help")
+        args = _parse(parser, sys.argv[1:] if argv is None else argv)
         if args.format not in args.formats:
             raise UsageError(f"--format {args.format} makes no sense for {args.subcommand}")
         code, forms = args.handler(args)

@@ -16,8 +16,6 @@ import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .graph import Graph, _bits
 from .recognition import to_networkx
 
@@ -329,6 +327,7 @@ def max_edge_disjoint_l_cycles_at(g: Graph, v: int, l: int, cap: int) -> int:
 
 def maximum_matching(g: Graph) -> list[tuple[int, int]]:
     """A maximum matching as a sorted edge list (witness re-validated)."""
+    import networkx as nx
     m = nx.max_weight_matching(to_networkx(g), maxcardinality=True)
     edges = sorted((min(u, v), max(u, v)) for u, v in m)
     seen = set()

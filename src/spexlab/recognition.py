@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-import networkx as nx
-
 from .graph import Graph
 
 
@@ -21,7 +19,9 @@ class PlanarityVerdict:
         return self.planar
 
 
-def to_networkx(g: Graph) -> nx.Graph:
+def to_networkx(g: Graph):
+    """g as a networkx.Graph on the vertices 0..n-1."""
+    import networkx as nx  # imported on first use: most runs never need it
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
     G.add_edges_from(g.edges())
@@ -45,6 +45,7 @@ def is_planar(g: Graph) -> PlanarityVerdict:
         rows[v] = 0
         if is_outerplanar(Graph._derived(g.n, rows)):
             return PlanarityVerdict(True, "apex-outerplanar")
+    import networkx as nx
     ok, _ = nx.check_planarity(to_networkx(g), counterexample=False)
     return PlanarityVerdict(ok, "lr-embedding" if ok else "lr-obstruction")
 

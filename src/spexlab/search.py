@@ -12,6 +12,7 @@ far (n <= 16); they let each parent add one edge per orbit of its non-edges.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ from .spectral import spectral_radius
 CLASSES = ("outerplanar", "planar")
 MODES = ("exhaustive", "local")
 TIE_WINDOW = 1e-9
+EXHAUSTIVE_CAP = 10  # largest n exhaustive search runs at unless told otherwise
 CHECKPOINT_MAGIC = b"SPEXCKPT1"
 
 
@@ -51,7 +53,7 @@ class SearchConfig:
     mode: str = "exhaustive"
     seed: int = 0
     checkpoint: str | None = None
-    exhaustive_cap: int = 10
+    exhaustive_cap: int = EXHAUSTIVE_CAP
 
     def __post_init__(self):
         if self.klass not in CLASSES:
@@ -397,7 +399,7 @@ def enumerate_class(
     klass: str = "outerplanar",
     forbidden: ForbiddenSpec | None = None,
     connected_only: bool = True,
-    cap: int = 10,
+    cap: int = EXHAUSTIVE_CAP,
 ) -> Iterator[Graph]:
     """One representative per isomorphism class of qualifying n-vertex
     graphs, in deterministic order (by edge count, then canonical form)."""
@@ -470,13 +472,19 @@ def _best_entry(
 
 
 def save_checkpoint(path: str, config: SearchConfig, entries: list[dict]) -> None:
+    """Write the checkpoint to ``path + ".tmp"``, then rename it onto
+    ``path``: a failed write leaves the previous checkpoint whole."""
     payload = json.dumps(
         {"config": config.key_dict(), "entries": entries}, sort_keys=True
     ).encode()
+    tmp = f"{path}.tmp"  # same directory, so os.replace is an atomic rename
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC + struct.pack(">I", len(payload)) + payload)
+        os.replace(tmp, path)
     except OSError as e:
+        if os.path.exists(tmp):
+            os.remove(tmp)
         raise ValueError(f"cannot write checkpoint {path}: {e.strerror}") from None
 
 

@@ -21,7 +21,7 @@ from spexlab.cli import _build_parser, main
 from spexlab.forbidden import ForbiddenSpec
 from spexlab.graph import complete, join, path
 from spexlab.graph6 import graph6_decode, graph6_encode
-from spexlab.search import SearchConfig, exhaustive_spex
+from spexlab.search import SearchConfig, exhaustive_spex, load_checkpoint
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -491,6 +491,69 @@ def test_config_key_names_the_option_not_its_dest(tmp_path, capsys):
     cfg.write_text("class = planar\n")
     code, out, _ = run_cli(capsys, "check", "--family", "wheel:n=7", "--config", str(cfg))
     assert (code, out) == (0, "planar=True\n")
+
+
+# (argv, config lines, exit code, stdout, stderr): each config line is read
+# as the flag it names, with that flag's type, choices and action
+CONFIG_AS_FLAGS = {
+    "int-partition": (("transform",), "partition = 5", 1, "",
+                      "error: indices (0, 1) out of range for 1 parts\n"),
+    "tuple-partition": (("transform",), "partition = 3,1", 0, "[4]\n", ""),
+    "int-g6": (("rho",), "g6 = 12", 1, "",
+               "error: byte 49 outside graph6 range 63..126 (byte offset 0)\n"),
+    "append-param": (("verify", "--suite", "claim-1.1", "--format", "csv"), "param = n_values=10",
+                     0, "suite,cases,passes,failures,indeterminates\nclaim-1.1,3,3,0,0\n",
+                     "claim-1.1: 3/3 passed, 0 failed, 0 indeterminate\n"),
+    "required-family": (("construct",), "family = wheel:n=6", 0, "wheel:n=6 n=6 edges=10 E|fG\n", ""),
+    "switch-true": (("transform", "--partition", "4,2,2"), "successors = TRUE", 0,
+                    "[5,2,1]\n[4,3,1]\n", ""),
+    "switch-false": (("transform", "--partition", "4,2,2"), "successors = false", 0, "[5,2,1]\n", ""),
+    "switch-not-bool": (("transform", "--partition", "4,2,2"), "successors = no", 1, "",
+                        "usage error: --config key 'successors' takes true or false, not 'no'\n"),
+    "float-cap": (("search",), "cap = 2.5\nnmin = 3\nnmax = 3", 1, "",
+                  "usage error: argument --cap: invalid int value: '2.5'\n"),
+}
+
+
+@pytest.mark.parametrize("row", list(CONFIG_AS_FLAGS))
+def test_config_lines_are_parsed_as_flags(tmp_path, capsys, row):
+    argv, lines, *expected = CONFIG_AS_FLAGS[row]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines + "\n")
+    assert list(run_cli(capsys, *argv, "--config", str(cfg))) == expected
+
+
+def test_config_paths_that_look_like_numbers_name_files(tmp_path, capsys, monkeypatch):
+    # "2" used to become fd 2 for --out and --checkpoint
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("out = 2\n")
+    argv = ("rho", "--family", "wheel:n=6")
+    assert run_cli(capsys, *argv, "--config", "run.cfg") == (0, "", "")
+    assert Path("2").read_text() == run_cli(capsys, *argv)[1]
+    Path("2").unlink()
+    Path("run.cfg").write_text("checkpoint = 2\nnmin = 4\nnmax = 5\n")
+    code, out, err = run_cli(capsys, "search", "--config", "run.cfg")
+    assert (code, err, len(out.splitlines())) == (0, "", 2)
+    entries = load_checkpoint("2", SearchConfig(n_min=4, n_max=5, checkpoint="2"))
+    assert [e["n"] for e in entries] == [4, 5]
+
+
+def test_config_supplies_every_required_flag(tmp_path, capsys, monkeypatch):
+    seen = _record_suite_params(monkeypatch)
+    cfg = tmp_path / "required.cfg"
+    for argv, lines in [
+        (("construct",), "family = star:n=5"),
+        (("transform",), "partition = 3,1"),
+        (("search",), "nmin = 3\nnmax = 3"),
+        (("verify",), "suite = lemma-lm1"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("usage error: the following arguments are required: --"), argv
+        cfg.write_text(lines + "\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 0 and out, (argv, err)
+    assert seen == {"lemma-lm1": {}}
 
 
 def run_cli_process(argv: list[str], **kw) -> subprocess.CompletedProcess:

@@ -201,6 +201,32 @@ def test_checkpoint_roundtrip_and_resume(tmp_path):
         load_checkpoint(str(bad), cfg)
 
 
+def test_failed_checkpoint_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path_ = str(tmp_path / "ck.bin")
+    cfg = SearchConfig(n_min=3, n_max=5, checkpoint=path_)
+    first = exhaustive_spex(cfg)
+
+    class FullDisk:  # opens the file, then fails the write as a full disk does
+        def __init__(self, *args):
+            self.fh = open(*args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(search, "open", FullDisk, raising=False)
+    with pytest.raises(ValueError, match="No space left on device"):
+        save_checkpoint(path_, cfg, first.entries[:1])
+    monkeypatch.undo()
+    assert load_checkpoint(path_, cfg) == first.entries
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+
+
 GOOD_ENTRY = {
     "n": 3,
     "best_rho": 2.0,

@@ -303,6 +303,26 @@ def test_spexlab_leaves_scipy_unimported():
     assert _modules_after(code, "scipy") == "[]"
 
 
+def test_default_paths_leave_networkx_unimported():
+    # networkx costs every process about 0.2 s to import; only the
+    # left-right planarity fallback and the matching detector use it
+    code = (
+        "import sys\n"
+        "import spexlab.cli\n"
+        "from spexlab.experiments import run_suite\n"
+        "from spexlab.forbidden import ForbiddenSpec, is_free\n"
+        "from spexlab.graph import complete, cycle, join, path\n"
+        "from spexlab.search import SearchConfig, exhaustive_spex\n"
+        "from spexlab.spectral import spectral_radius\n"
+        "spectral_radius(join(complete(1), cycle(9)))\n"
+        "exhaustive_spex(SearchConfig(4, 7))\n"
+        "assert run_suite('lemma-lm1').ok\n"
+        "assert 'networkx' not in sys.modules\n"
+        "assert is_free(path(3), ForbiddenSpec.parse('M2'))\n"
+    )
+    assert "'networkx'" in _modules_after(code, "networkx")
+
+
 def test_solvers_leave_recognition_and_networkx_unimported():
     # spectral.py holds only the solvers; the claim checks that need
     # outerplanarity, and with it networkx, live in experiments.py
