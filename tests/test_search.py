@@ -380,6 +380,15 @@ def test_search_config_validation():
 ATLAS_CANONICAL_SHA256 = (
     "758e72da1fa9017717c31e233a92442e1dd90e1ef2deb45884c6865af4cb6c8f"
 )
+# [DERIVED] SHA-256 over _beyond_atlas() of the canonical_form bytes and of
+# repr(_canon(g)[1]), one line per graph, computed with the canonical
+# labelling that built neighbour lists from Graph.adjacency().
+BEYOND_ATLAS_FORMS_SHA256 = (
+    "d4529dfc575bfe135ee57b839d489418013ef82ece70f1a35b29cd3acfaba888"
+)
+BEYOND_ATLAS_GENERATORS_SHA256 = (
+    "dcac454000419d99ce7de932088e4f95c7fe17a985c1b827461e3688b7434c87"
+)
 PINNED_REPORTS = [
     (
         SearchConfig(4, 7),
@@ -410,6 +419,24 @@ def _atlas_graphs():
 def test_canonical_form_bytes_pinned_on_atlas():
     data = b"".join(canonical_form(g) + b"\n" for g in _atlas_graphs())
     assert _sha256(data) == ATLAS_CANONICAL_SHA256
+
+
+def _beyond_atlas():
+    """Seeded random graphs on 8..16 vertices, then every circulant."""
+    rnd = random.Random(816)
+    graphs = [random_graph(rnd, rnd.randint(8, 16), rnd.random()) for _ in range(600)]
+    return graphs + list(_circulants())
+
+
+def test_canonical_forms_and_generators_pinned_beyond_atlas():
+    """Where the atlas stops: the form bytes and the generators, each
+    graph's list on one line, are those of the neighbour-list labelling."""
+    forms, gens = hashlib.sha256(), hashlib.sha256()
+    for g in _beyond_atlas():
+        forms.update(canonical_form(g) + b"\n")
+        gens.update(repr(_canon(g)[1]).encode() + b"\n")
+    assert forms.hexdigest() == BEYOND_ATLAS_FORMS_SHA256
+    assert gens.hexdigest() == BEYOND_ATLAS_GENERATORS_SHA256
 
 
 @pytest.mark.parametrize(
