@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .constructions import FAMILY_KINDS, FamilySpec, PathPartition, construct, transform
@@ -133,11 +134,15 @@ def _coerce(text: str):
     return text
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")  # a '#' inside a value is part of it
+
+
 def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     """Parse argv with its --config lines put right after the verb as the
     flags they name, so explicit flags, which come later, win. A key names
     one of the verb's options, without the dashes; any other key is a usage
-    error. A switch takes true or false (any case) and is given when true."""
+    error. A switch takes true or false (any case) and is given when true.
+    A '#' at the start of a line or after whitespace starts a comment."""
     pre = _Parser(add_help=False)
     pre.add_argument("--config", default=None)
     path = pre.parse_known_args(argv)[0].config
@@ -155,7 +160,7 @@ def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
             raise UsageError(f"cannot read --config {path}: {e.strerror}") from None
         with fh:
             for raw in fh:
-                line = raw.split("#", 1)[0].strip()
+                line = _COMMENT.split(raw, 1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:

@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .forbidden import ForbiddenSpec, is_free
-from .graph import Graph, empty_graph
+from .graph import Graph, _bits, empty_graph
 from .graph6 import graph6_from_body
 from .recognition import (
     is_outerplanar,
@@ -119,54 +119,70 @@ class SearchReport:
 # canonical labeling
 
 
-def _refine(
-    rows: tuple[int, ...], cells: list[list[int]], splitters: list[int]
-) -> list[list[int]]:
-    """Equitable refinement of ordered cells of one-degree vertices, each
-    ascending, by the cells that split: the cells, in color order, that
-    recoloring by (color, sorted neighbor colors) until stable gives.
+def _refine(rows: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+    """Equitable refinement of ordered cells of one-degree vertices, each a
+    vertex bitmask, by the cells that split: the cells, in color order,
+    that recoloring by (color, sorted neighbor colors) until stable gives.
     ``splitters`` masks the new pieces in color order, less each split
     cell's last piece, whose counts follow from the others: all degree
-    cells but the last at the root, [v] after individualizing v. A cell
-    has equal counts into the cells of the round before, so only counts
-    into new pieces order it (McKay, Congr. Numer. 30, 1981), packed 4
-    bits each (n <= 16): descending counts are ascending color tuples.
+    cells but the last at the root, one vertex v after individualizing v.
+    A cell has equal counts into the cells of the round before, so only
+    counts into new pieces order it (McKay, Congr. Numer. 30, 1981),
+    packed 4 bits each (n <= 16): descending counts are ascending color
+    tuples. One vertex v splits a cell into ``cell & rows[v]``, then the
+    rest.
     """
     while splitters and len(cells) < len(rows):
-        out: list[list[int]] = []
+        out: list[int] = []
         split: list[int] = []
-        for cell in cells:
-            if len(cell) > 1:
-                groups: dict[int, list[int]] = {}
-                for v in cell:
-                    s = 0
-                    for m in splitters:
-                        s = s << 4 | (rows[v] & m).bit_count()
-                    groups.setdefault(s, []).append(v)
-                if len(groups) > 1:
-                    pieces = [groups[s] for s in sorted(groups, reverse=True)]
-                    out += pieces
-                    split += [sum([1 << v for v in p]) for p in pieces[:-1]]
-                    continue
-            out.append(cell)
+        if len(splitters) == 1 and splitters[0] & (splitters[0] - 1) == 0:
+            row = rows[splitters[0].bit_length() - 1]
+            for cell in cells:
+                hit = cell & row
+                if hit and hit != cell:
+                    out += (hit, cell ^ hit)
+                    split.append(hit)
+                else:
+                    out.append(cell)
+        else:
+            for cell in cells:
+                if cell & (cell - 1):
+                    groups: dict[int, int] = {}
+                    rest = cell
+                    while rest:
+                        bit = rest & -rest
+                        rest ^= bit
+                        row = rows[bit.bit_length() - 1]
+                        s = 0
+                        for m in splitters:
+                            s = s << 4 | (row & m).bit_count()
+                        groups[s] = groups.get(s, 0) | bit
+                    if len(groups) > 1:
+                        pieces = [groups[s] for s in sorted(groups, reverse=True)]
+                        out += pieces
+                        split += pieces[:-1]
+                        continue
+                out.append(cell)
         cells, splitters = out, split
     return cells
 
 
-def _homogeneous(rows: tuple[int, ...], cell: list[int]) -> bool:
-    """True when every permutation of the cell is an automorphism (same
-    neighbors outside the cell, and the cell induces a clique or an
-    independent set); then one individualization branch suffices."""
-    members = 0
-    for v in cell:
-        members |= 1 << v
-    outside = rows[cell[0]] & ~members
+def _homogeneous(rows: tuple[int, ...], cell: int) -> bool:
+    """True when every permutation of the cell (a vertex bitmask) is an
+    automorphism (same neighbors outside the cell, and the cell induces a
+    clique or an independent set); then one individualization branch
+    suffices."""
+    outside = rows[(cell & -cell).bit_length() - 1] & ~cell
     inside = 0
-    for v in cell:
-        if rows[v] & ~members != outside:
+    rest = cell
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        row = rows[bit.bit_length() - 1]
+        if row & ~cell != outside:
             return False
-        inside += (rows[v] & members).bit_count()
-    k = len(cell)
+        inside += (row & cell).bit_count()
+    k = cell.bit_count()
     return inside == 0 or inside == k * (k - 1)
 
 
@@ -183,22 +199,15 @@ def _orbit(mask: int, gens: list[tuple[int, ...]]) -> int:
     return mask
 
 
-def _leaf_key(nbrs: list[list[int]], perm: list[int]) -> tuple[int, list[int]]:
-    """Upper triangle under the labelling v -> perm[v], read column by
-    column (the graph6 bit order) MSB first, and the inverse labelling."""
-    n = len(perm)
-    inv = [0] * n
-    for v, c in enumerate(perm):
-        inv[c] = v
+def _leaf_key(rows: tuple[int, ...], inv: list[int]) -> int:
+    """Upper triangle of the graph with vertex inv[c] labelled c, read
+    from the rows column by column (the graph6 bit order), MSB first."""
     key = 0
-    for j in range(1, n):
-        col = 0
-        for u in nbrs[inv[j]]:
-            i = perm[u]
-            if i < j:
-                col |= 1 << (j - 1 - i)
-        key = key << j | col
-    return key, inv
+    for j in range(1, len(inv)):
+        row = rows[inv[j]]
+        for i in inv[:j]:
+            key = key << 1 | row >> i & 1
+    return key
 
 
 def _check_canon_n(n: int) -> None:
@@ -206,79 +215,81 @@ def _check_canon_n(n: int) -> None:
         raise ValueError("canonical_form is limited to n <= 16")
 
 
-def _canon(g: Graph) -> tuple[bytes, list[tuple[int, ...]]]:
-    """Canonical form of ``g`` and automorphisms of ``g`` met on the way,
-    each as a tuple mapping vertex v to its image.
+def _canon(rows: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
+    """Canonical key of the graph with bitset ``rows`` and automorphisms
+    met on the way, each as a tuple mapping vertex v to its image.
 
-    Every leaf of the individualization tree is a labelling; the form is
-    the graph6 of the leaf whose graph6 bytes are smallest. Leaves compare
-    by ``_leaf_key``, which holds the graph6 body bits, so the form is
-    written from the smallest key. Two leaves with equal keys give the
-    same labeled graph, so one labelling followed by the inverse of the
-    other is an automorphism; a homogeneous cell contributes the
-    transpositions of its members. A child whose vertex lies in the orbit
-    of an explored sibling under the automorphisms found so far that fix
-    the node's individualized vertices is skipped (McKay, J. Algorithms
-    26, 1998): its subtree is the sibling's image and holds the same keys.
-    Each node refines the cells it is given by the cells that split.
+    Every leaf of the individualization tree is a labelling; its
+    ``_leaf_key`` holds the graph6 body bits, and the canonical key is the
+    smallest, so its graph6 has the smallest bytes. Two leaves with equal
+    keys give the same labeled graph, so one labelling followed by the
+    inverse of the other is an automorphism; a homogeneous cell
+    contributes the transpositions of its members. A child whose vertex
+    lies in the orbit of an explored sibling under the automorphisms
+    found so far that fix the node's individualized vertices is skipped
+    (McKay, J. Algorithms 26, 1998): its subtree is the sibling's image
+    and holds the same keys. Each node refines the cells it is given by
+    the cells that split.
     """
-    _check_canon_n(g.n)
-    n = g.n
-    rows = g.rows()
-    nbrs = g.adjacency()
+    n = len(rows)
+    _check_canon_n(n)
     gens: list[tuple[int, ...]] = []
     best_key = -1
     best_inv: list[int] = []
 
-    def leaf(perm: list[int]) -> None:
+    def leaf(inv: list[int]) -> None:
         nonlocal best_key, best_inv
-        key, inv = _leaf_key(nbrs, perm)
+        key = _leaf_key(rows, inv)
         if best_key < 0 or key < best_key:
             best_key, best_inv = key, inv
         elif key == best_key:
-            gens.append(tuple(best_inv[c] for c in perm))
+            s = [0] * n
+            for c, v in enumerate(inv):
+                s[v] = best_inv[c]
+            gens.append(tuple(s))
 
-    def search(cells: list[list[int]], splitters: list[int], fixed: list[int]) -> None:
+    def search(cells: list[int], splitters: list[int], fixed: list[int]) -> None:
         cells = _refine(rows, cells, splitters)
         for i, cell in enumerate(cells):
-            if len(cell) > 1:
+            if cell & (cell - 1):
                 break
         else:  # discrete: cell c holds the vertex labelled c
-            perm = [0] * n
-            for c, (v,) in enumerate(cells):
-                perm[v] = c
-            leaf(perm)
+            leaf([c.bit_length() - 1 for c in cells])
             return
         target = cell
-        if _homogeneous(rows, target):
-            for w in target[1:]:
+        if _homogeneous(rows, cell):
+            target = cell & -cell
+            first = target.bit_length() - 1
+            for w in _bits(cell ^ target):
                 swap = list(range(n))
-                swap[target[0]], swap[w] = w, target[0]
+                swap[first], swap[w] = w, first
                 gens.append(tuple(swap))
-            target = target[:1]
         explored = 0
-        for v in target:
+        while target:
+            bit = target & -target
+            target ^= bit
             if explored:
                 stabiliser = [s for s in gens if all(s[u] == u for u in fixed)]
                 explored = _orbit(explored, stabiliser)
-                if explored >> v & 1:
+                if explored & bit:
                     continue
-            explored |= 1 << v
-            rest = [w for w in cell if w != v]  # v goes just below the rest
-            search(cells[:i] + [[v], rest] + cells[i + 1 :], [1 << v], fixed + [v])
+            explored |= bit
+            v = bit.bit_length() - 1  # v goes just below the rest of its cell
+            search(cells[:i] + [bit, cell ^ bit] + cells[i + 1 :], [bit], fixed + [v])
 
-    by_degree: dict[int, list[int]] = {}
-    for v, nb in enumerate(nbrs):
-        by_degree.setdefault(len(nb), []).append(v)
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
     cells = [by_degree[d] for d in sorted(by_degree)]  # the degree cells, ascending
-    search(cells, [sum(1 << v for v in cell) for cell in cells[:-1]], [])
-    return graph6_from_body(n, best_key), list(dict.fromkeys(gens))
+    search(cells, cells[:-1], [])
+    return best_key, list(dict.fromkeys(gens))
 
 
 def canonical_form(g: Graph) -> bytes:
     """Isomorphism-invariant bytes (the graph6 of a canonical relabeling);
     equal strings iff isomorphic. Refinement-based; intended for n <= 16."""
-    return _canon(g)[0]
+    return graph6_from_body(g.n, _canon(g.rows())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +367,14 @@ def _enumerate(
     non-edge: ``children`` counts all non-edges of the qualifying parents
     and ``duplicate`` all of them that give no new class. A child whose
     rows another parent of the level already produced is such a duplicate
-    and is not canonicalized again.
+    and is not canonicalized again. Classes are told apart by their int
+    keys; a Graph is made only for a new class, its graph6 form only for
+    a kept one.
     """
     root = empty_graph(n)
-    form, gens = _canon(root)
-    seen = {form}
-    level = [(form, root, gens)]
+    key, gens = _canon(root.rows())
+    seen = {key}
+    level = [(graph6_from_body(n, key), root, gens)]
     while level:
         for form, g, _ in level:
             if connected_only and not g.is_connected():
@@ -370,26 +383,31 @@ def _enumerate(
             stats["emitted"] += 1
             yield form, g
         nxt: list[tuple[bytes, Graph, list[tuple[int, ...]]]] = []
-        labelled: set[Graph] = set()
+        labelled: set[tuple[int, ...]] = set()
         for _, g, gens in level:
+            rows = g.rows()
             free = n * (n - 1) // 2 - g.edge_count()
             stats["children"] += free
             stats["duplicate"] += free
             for u, v in _orbit_minima(g, gens):
-                child = g.add_edge(u, v)
+                edited = list(rows)
+                edited[u] |= 1 << v
+                edited[v] |= 1 << u
+                child = tuple(edited)
                 if child in labelled:
                     continue
                 labelled.add(child)
-                form, child_gens = _canon(child)
-                if form in seen:
+                key, child_gens = _canon(child)
+                if key in seen:
                     continue
-                seen.add(form)
+                seen.add(key)
                 stats["duplicate"] -= 1
-                reason = _reject(child, klass, forbidden)
+                h = Graph._derived(n, child)  # valid: uv is a non-edge of g
+                reason = _reject(h, klass, forbidden)
                 if reason is not None:
                     stats[reason] += 1
                     continue
-                nxt.append((form, child, child_gens))
+                nxt.append((graph6_from_body(n, key), h, child_gens))
         nxt.sort(key=lambda t: t[0])
         level = nxt
 
@@ -596,9 +614,11 @@ def _climb(g: Graph, config: SearchConfig, log: list[str]) -> tuple[Graph, float
             evaluated += 1
             if r <= rho + 1e-12:
                 continue
-            key = (r, canonical_form(h))
-            if best_move is None or key > (best_move[0], best_move[1]):
-                best_move = (r, key[1], name, h)
+            if best_move is not None and r < best_move[0]:
+                continue  # the form decides only a tie on r
+            form = canonical_form(h)
+            if best_move is None or (r, form) > best_move[:2]:
+                best_move = (r, form, name, h)
         if best_move is None:
             log.append(f"evaluated {evaluated}")
             return g, rho

@@ -538,6 +538,23 @@ def test_config_paths_that_look_like_numbers_name_files(tmp_path, capsys, monkey
     assert [e["n"] for e in entries] == [4, 5]
 
 
+def test_config_value_keeps_a_hash_that_follows_no_space(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("out = a#b.txt\n")
+    argv = ("rho", "--family", "star:n=5")
+    assert run_cli(capsys, *argv, "--config", "run.cfg") == (0, "", "")
+    assert Path("a#b.txt").read_text() == run_cli(capsys, *argv)[1]
+    assert not Path("a").exists()
+
+
+def test_config_comment_after_a_value_and_a_space(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("# the output\nout = b.txt # not a#name\n")
+    argv = ("rho", "--family", "star:n=5")
+    assert run_cli(capsys, *argv, "--config", "run.cfg") == (0, "", "")
+    assert Path("b.txt").read_text() == run_cli(capsys, *argv)[1]
+
+
 def test_config_supplies_every_required_flag(tmp_path, capsys, monkeypatch):
     seen = _record_suite_params(monkeypatch)
     cfg = tmp_path / "required.cfg"

@@ -17,6 +17,7 @@ from helpers import atlas_classes, dense_rho, graphs, random_graph, to_nx
 from spexlab import search
 from spexlab.forbidden import ForbiddenSpec
 from spexlab.graph import (
+    Graph,
     complete,
     complete_bipartite,
     cycle,
@@ -381,7 +382,7 @@ ATLAS_CANONICAL_SHA256 = (
     "758e72da1fa9017717c31e233a92442e1dd90e1ef2deb45884c6865af4cb6c8f"
 )
 # [DERIVED] SHA-256 over _beyond_atlas() of the canonical_form bytes and of
-# repr(_canon(g)[1]), one line per graph, computed with the canonical
+# repr(_canon(g.rows())[1]), one line per graph, computed with the canonical
 # labelling that built neighbour lists from Graph.adjacency().
 BEYOND_ATLAS_FORMS_SHA256 = (
     "d4529dfc575bfe135ee57b839d489418013ef82ece70f1a35b29cd3acfaba888"
@@ -421,6 +422,18 @@ def test_canonical_form_bytes_pinned_on_atlas():
     assert _sha256(data) == ATLAS_CANONICAL_SHA256
 
 
+def test_canonical_labelling_builds_no_neighbour_lists(monkeypatch):
+    """Canonical labelling reads the bitset rows alone."""
+
+    def refuse(self):
+        raise AssertionError("canonical labelling built neighbour lists")
+
+    atlas = _atlas_graphs()
+    monkeypatch.setattr(Graph, "adjacency", refuse)
+    data = b"".join(canonical_form(g) + b"\n" for g in atlas)
+    assert _sha256(data) == ATLAS_CANONICAL_SHA256
+
+
 def _beyond_atlas():
     """Seeded random graphs on 8..16 vertices, then every circulant."""
     rnd = random.Random(816)
@@ -434,7 +447,7 @@ def test_canonical_forms_and_generators_pinned_beyond_atlas():
     forms, gens = hashlib.sha256(), hashlib.sha256()
     for g in _beyond_atlas():
         forms.update(canonical_form(g) + b"\n")
-        gens.update(repr(_canon(g)[1]).encode() + b"\n")
+        gens.update(repr(_canon(g.rows())[1]).encode() + b"\n")
     assert forms.hexdigest() == BEYOND_ATLAS_FORMS_SHA256
     assert gens.hexdigest() == BEYOND_ATLAS_GENERATORS_SHA256
 
@@ -452,10 +465,21 @@ def test_local_search_report_pinned():
     assert _sha256(report.canonical_json().encode()) == LOCAL_REPORT_SHA256
 
 
+def test_local_search_computes_forms_only_where_they_can_decide(monkeypatch):
+    """An improving move needs its canonical form only when its rho ties
+    or beats the best move so far. The pinned local search computed 86
+    forms when every improving move got one; it computes 45 now, five of
+    them for the optima it reports."""
+    calls = _count_calls(monkeypatch, "canonical_form")
+    cfg = SearchConfig(n_min=6, n_max=6, mode="local", seed=3)
+    local_search_spex(cfg, path(6), restarts=4)
+    assert calls["canonical_form"] == 45
+
+
 def test_canon_generators_are_automorphisms():
     for g in _atlas_graphs():
-        form, gens = _canon(g)
-        assert form == canonical_form(g)
+        key, gens = _canon(g.rows())
+        assert graph6_from_body(g.n, key) == canonical_form(g)
         for s in gens:
             assert sorted(s) == list(range(g.n))
             assert g.relabel(list(s)) == g
@@ -485,7 +509,7 @@ def test_non_edge_orbits_refine_automorphism_orbits():
             tuple(m[v] for v in range(g.n))
             for m in nx.algorithms.isomorphism.GraphMatcher(G, G).isomorphisms_iter()
         ]
-        _, gens = _canon(g)
+        _, gens = _canon(g.rows())
         pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
         non_edges = [e for e in pairs if not g.has_edge(*e)]
         minima = set()
@@ -593,10 +617,10 @@ def test_representatives_pinned(kwargs, digest):
 
 
 def _graph6_via_key(g, perm) -> bytes:
-    nbrs = [list(g.neighbors(v)) for v in range(g.n)]
-    key, inv = _leaf_key(nbrs, perm)
-    assert [perm[v] for v in inv] == list(range(g.n))
-    return graph6_from_body(g.n, key)
+    inv = [0] * g.n
+    for v, c in enumerate(perm):
+        inv[c] = v
+    return graph6_from_body(g.n, _leaf_key(g.rows(), inv))
 
 
 @pytest.mark.parametrize("n", range(17))
@@ -689,7 +713,7 @@ def _unpruned_leaves(g) -> int:
         target = next((cell for cell in cells if len(cell) > 1), None)
         if target is None:
             return 1
-        if _homogeneous(g.rows(), target):
+        if _homogeneous(g.rows(), _mask(target)):
             target = target[:1]
         return sum(walk(_individualize(colors, v)) for v in target)
 
@@ -763,19 +787,19 @@ def test_refine_by_split_cells_matches_reference(family):
         nbrs = [list(g.neighbors(v)) for v in range(g.n)]
         degree = _degree_colors(nbrs)
         colors, cells = reference_refine(nbrs, degree)
-        start = [[v for v in range(g.n) if degree[v] == k] for k in sorted(set(degree))]
-        masks = [_mask(cell) for cell in start]
-        assert _refine(rows, start, masks[:-1]) == cells, rows
-        assert _refine(rows, start, masks) == cells, rows
+        start = [_mask([v for v in range(g.n) if degree[v] == k]) for k in sorted(set(degree))]
+        masks = [_mask(cell) for cell in cells]
+        assert _refine(rows, start, start[:-1]) == masks, rows
+        assert _refine(rows, start, start) == masks, rows
         i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
         if i is None:
             continue
         for v in cells[i]:
-            want = reference_refine(nbrs, _individualize(colors, v))[1]
-            rest = [w for w in cells[i] if w != v]
-            split = cells[:i] + [[v], rest] + cells[i + 1 :]
+            want = [_mask(c) for c in reference_refine(nbrs, _individualize(colors, v))[1]]
+            rest = masks[i] ^ 1 << v
+            split = masks[:i] + [1 << v, rest] + masks[i + 1 :]
             assert _refine(rows, split, [1 << v]) == want, (rows, v)
-            assert _refine(rows, split, [1 << v, _mask(rest)]) == want, (rows, v)
+            assert _refine(rows, split, [1 << v, rest]) == want, (rows, v)
 
 
 def _colour_automorphism(rows, a, b) -> tuple[int, ...] | None:
@@ -838,10 +862,10 @@ def reference_canon(g) -> bytes:
         colors, cells = reference_refine(nbrs, colors)
         target = next((cell for cell in cells if len(cell) > 1), None)
         if target is None:
-            key = _leaf_key(nbrs, colors)[0]
+            key = _leaf_key(rows, [v for v, in cells])
             best = key if best < 0 else min(best, key)
             return
-        if _homogeneous(rows, target):
+        if _homogeneous(rows, _mask(target)):
             target = target[:1]
         walked: dict[int, list[int]] = {}
         autos: list[tuple[int, ...]] = []
@@ -869,7 +893,7 @@ def test_pruned_form_is_unpruned_minimum(family):
     individualized path; its form must be the smallest key of the whole
     tree."""
     for g in FAMILIES[family]():
-        assert _canon(g)[0] == reference_canon(g), g.rows()
+        assert canonical_form(g) == reference_canon(g), g.rows()
 
 
 class _TooManyLeaves(Exception):
@@ -882,39 +906,32 @@ def unpruned_canon(g, cap: int) -> bytes | None:
     homogeneous cell, but no orbit pruning, so every other vertex of a
     target cell is individualized. None when the tree has more than
     ``cap`` leaves."""
-    n, rows, nbrs = g.n, g.rows(), g.adjacency()
+    n, rows = g.n, g.rows()
     best, leaves = -1, 0
 
     def walk(cells, splitters):
         nonlocal best, leaves
         cells = _refine(rows, cells, splitters)
-        i = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        i = next((i for i, cell in enumerate(cells) if cell.bit_count() > 1), None)
         if i is None:
             leaves += 1
             if leaves > cap:
                 raise _TooManyLeaves
-            perm = [0] * n
-            for c, (v,) in enumerate(cells):
-                perm[v] = c
-            key = _leaf_key(nbrs, perm)[0]
+            key = _leaf_key(rows, [cell.bit_length() - 1 for cell in cells])
             best = key if best < 0 else min(best, key)
             return
         cell = cells[i]
-        for v in cell[:1] if _homogeneous(rows, cell) else cell:
-            rest = [w for w in cell if w != v]
-            walk(cells[:i] + [[v], rest] + cells[i + 1 :], [1 << v])
+        members = [v for v in range(n) if cell >> v & 1]
+        for v in members[:1] if _homogeneous(rows, cell) else members:
+            walk(cells[:i] + [1 << v, cell ^ 1 << v] + cells[i + 1 :], [1 << v])
 
-    cells = _degree_cells(nbrs)
+    degree = [row.bit_count() for row in rows]
+    cells = [_mask([v for v in range(n) if degree[v] == d]) for d in sorted(set(degree))]
     try:
-        walk(cells, [_mask(cell) for cell in cells[:-1]])
+        walk(cells, cells[:-1])
     except _TooManyLeaves:
         return None
     return graph6_from_body(n, best)
-
-
-def _degree_cells(nbrs: list[list[int]]) -> list[list[int]]:
-    degree = [len(nb) for nb in nbrs]
-    return [[v for v in range(len(nbrs)) if degree[v] == d] for d in sorted(set(degree))]
 
 
 # Leaves of the unpruned tree that the circulant check walks at most: 755
@@ -957,7 +974,7 @@ def pruned_leaves(monkeypatch):
 
     def count(g) -> int:
         calls["_leaf_key"] = 0
-        _canon(g)
+        _canon(g.rows())
         return calls["_leaf_key"]
 
     return count
