@@ -17,7 +17,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .graph import Graph, _bits
-from .recognition import to_networkx
 
 _GRAMMAR = re.compile(r"^(?:C(?P<cl>\d+)|B(?P<bt>\d+)x(?P<bl>\d+)|M(?P<mk>\d+))$")
 
@@ -88,6 +87,8 @@ def find_cycle_of_length(g: Graph, l: int) -> list[int] | None:
         return None
     rows = g.rows()
     for s in range(g.n - l + 1):
+        if (rows[s] >> s).bit_count() < 2:  # no two neighbours above s to close on
+            continue
         found = _first_hub_cycle(rows, s, l, (1 << s) - 1)  # vertices below s are out
         if found is not None:
             _validate_cycle(g, found)
@@ -110,6 +111,12 @@ def find_bouquet(g: Graph, t: int, l: int) -> tuple[int, list[list[int]]] | None
     cycles pairwise share exactly the hub. None if g is B_{t,l}-free."""
     if t < 1 or l < 3:
         raise ValueError("bouquet needs t >= 1 and l >= 3")
+    if t == 1:
+        # B_{1,l} is C_l. Both pick the least vertex on an l-cycle as the
+        # hub, and the scan's mask below it prunes only paths that cannot
+        # close, so the witness is the first cycle in the same walk
+        c = find_cycle_of_length(g, l)
+        return None if c is None else (c[0], [c])
     if g.n < t * (l - 1) + 1:
         return None
     rows = g.rows()
@@ -117,7 +124,7 @@ def find_bouquet(g: Graph, t: int, l: int) -> tuple[int, list[list[int]]] | None
     # the possible hubs: a hub carries 2 cycle-edges per cycle
     hubs = sum(1 << v for v, d in enumerate(deg) if d >= 2 * t)
     for v in _bits(hubs):
-        if t >= 2 and rows[v] & hubs:
+        if rows[v] & hubs:
             # A packing holds at most one cycle through any u != v, so t
             # cycles at v leave t - 1 in G - u. Strip v's busiest neighbour
             # among the possible hubs (ties to the smallest); a vertex of
@@ -325,21 +332,114 @@ def max_edge_disjoint_l_cycles_at(g: Graph, v: int, l: int, cap: int) -> int:
     return best
 
 
-def maximum_matching(g: Graph) -> list[tuple[int, int]]:
-    """A maximum matching as a sorted edge list (witness re-validated)."""
-    import networkx as nx
-    m = nx.max_weight_matching(to_networkx(g), maxcardinality=True)
-    edges = sorted((min(u, v), max(u, v)) for u, v in m)
-    seen = set()
-    for u, v in edges:
-        assert g.has_edge(u, v)
-        assert u not in seen and v not in seen
-        seen |= {u, v}
-    return edges
+def _has_matching(rows: Sequence[int], k: int) -> bool:
+    """Whether the graph on the bitset rows has k independent edges.
+
+    A greedy maximal matching in vertex order decides most graphs: k edges
+    are a witness, and fewer, s < k, leave 2s <= 2k - 2 matched vertices
+    that cover every edge (Cygan et al., *Parameterized Algorithms*, 2015,
+    ch. 2). The kernel keeps the cover and, for each cover vertex, its
+    2k - 1 least neighbours outside it. That loses no k-matching: its other
+    k - 1 edges use at most 2k - 2 vertices, so a kept neighbour is free
+    for each of its edges that leaves the cover. Augmenting paths on the
+    kernel then grow the greedy matching up to k.
+    """
+    n = len(rows)
+    mate = [-1] * n
+    free = (1 << n) - 1
+    size = 0
+    for v in range(n):
+        if mate[v] < 0:
+            r = rows[v] & free
+            if r:
+                u = (r & -r).bit_length() - 1
+                mate[v], mate[u] = u, v
+                free ^= 1 << v | 1 << u
+                size += 1
+                if size == k:
+                    return True
+    keep = ((1 << n) - 1) ^ free
+    for c in _bits(keep):
+        r = rows[c] & free
+        for _ in range(2 * k - 1):
+            keep |= r & -r
+            r &= r - 1
+    verts = _bits(keep)
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [[index[u] for u in _bits(rows[v] & keep)] for v in verts]
+    kmate = [index[mate[v]] if mate[v] >= 0 else -1 for v in verts]
+    for root in range(len(verts)):
+        # an exposed vertex without an augmenting path gains none later
+        if kmate[root] < 0 and _augment(adj, kmate, root):
+            size += 1
+            if size == k:
+                return True
+    return False
 
 
-def matching_number(g: Graph) -> int:
-    return len(maximum_matching(g))
+def _augment(adj: list[list[int]], mate: list[int], root: int) -> bool:
+    """Flip an augmenting path from the exposed vertex root, if one exists.
+
+    Edmonds' search (*Canad. J. Math.* 17, 1965): grow an alternating tree
+    from root breadth first and shrink each odd cycle of outer vertices, a
+    blossom, into its base. ``mate`` is updated in place.
+    """
+    m = len(adj)
+    base = list(range(m))
+    parent = [-1] * m  # the tree edge into each inner vertex
+    outer = [False] * m
+    outer[root] = True
+    queue = [root]
+
+    def lca(a: int, b: int) -> int:
+        """The base where the tree paths of outer a and b meet."""
+        up = set()
+        while True:
+            a = base[a]
+            up.add(a)
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while base[b] not in up:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def mark(v: int, b: int, child: int, blossom: set[int]) -> None:
+        # walk from v down to base b, pointing each inner vertex into the cycle
+        while base[v] != b:
+            blossom.add(base[v])
+            blossom.add(base[mate[v]])
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    for v in queue:  # the queue grows while it is read
+        for w in adj[v]:
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or mate[w] >= 0 and parent[mate[w]] >= 0:  # w is outer
+                b = lca(v, w)
+                blossom: set[int] = set()
+                mark(v, b, w, blossom)
+                mark(w, b, v, blossom)
+                for i in range(m):
+                    if base[i] in blossom:
+                        base[i] = b
+                        if not outer[i]:
+                            outer[i] = True
+                            queue.append(i)
+            elif parent[w] < 0:
+                parent[w] = v
+                if mate[w] < 0:
+                    while w >= 0:
+                        u = parent[w]
+                        nxt = mate[u]
+                        mate[w], mate[u] = u, w
+                        w = nxt
+                    return True
+                outer[mate[w]] = True
+                queue.append(mate[w])
+    return False
 
 
 def is_free(g: Graph, spec: ForbiddenSpec) -> bool:
@@ -348,4 +448,4 @@ def is_free(g: Graph, spec: ForbiddenSpec) -> bool:
         return not contains_cycle_of_length(g, spec.l)
     if spec.kind == "bouquet":
         return not contains_bouquet(g, spec.t, spec.l)
-    return matching_number(g) < spec.k
+    return not _has_matching(g.rows(), spec.k)

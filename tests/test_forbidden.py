@@ -19,9 +19,7 @@ from spexlab.forbidden import (
     find_bouquet,
     find_cycle_of_length,
     is_free,
-    matching_number,
     max_edge_disjoint_l_cycles_at,
-    maximum_matching,
 )
 from spexlab.graph import (
     Graph,
@@ -404,6 +402,23 @@ def test_bouquet_matches_reference_on_random_graphs():
             check_against_reference(g, t, l)
 
 
+def test_one_cycle_bouquet_is_the_cycle_scan(monkeypatch):
+    # B_{1,l} is C_l: the hub is the least vertex on an l-cycle and the
+    # witness is the scan's cycle, with no cycle sets enumerated at a hub
+    def no_sets(*args):
+        raise AssertionError("a one-cycle bouquet enumerated cycle sets")
+
+    monkeypatch.setattr(forbidden, "_hub_cycle_sets", no_sets)
+    rnd = random.Random(1111)
+    atlas = [from_edges(G.number_of_nodes(), G.edges()) for G in nx.graph_atlas_g()]
+    for g in atlas + [random_graph(rnd, rnd.randint(8, 11), rnd.choice([0.2, 0.35, 0.5]))
+                      for _ in range(60)]:
+        for l in range(3, 8):
+            c = find_cycle_of_length(g, l)
+            expected = None if c is None else (c[0], [c])
+            assert find_bouquet(g, 1, l) == expected == reference_find_bouquet(g, 1, l), (g.rows(), l)
+
+
 @pytest.mark.parametrize("kind", ["wheel", "k1hop", "k2hp"])
 def test_bouquet_matches_reference_past_61_vertices(kind):
     # Python hashes an int mod 2^61 - 1, so from n = 62 on distinct vertex
@@ -534,25 +549,84 @@ def test_edge_disjoint_packing_matches_reference_on_bouquet_semantics_graphs():
                 assert max_edge_disjoint_l_cycles_at(g, v, l, t) == expected, (n, t, l, v)
 
 
+def nx_matching_number(g: Graph) -> int:
+    return len(nx.max_weight_matching(to_nx(g), maxcardinality=True))
+
+
+def matching_number_by_is_free(g: Graph) -> int:
+    """The largest k with an M_k in g, read off is_free alone."""
+    return next(k for k in itertools.count(1) if is_free(g, ForbiddenSpec.matching(k))) - 1
+
+
 def test_maximum_matching_against_networkx():
     rnd = random.Random(2024)
     for _ in range(120):
         g = random_graph(rnd, rnd.randint(0, 9), rnd.choice([0.2, 0.4, 0.6]))
-        m = maximum_matching(g)
-        assert all(g.has_edge(u, v) for u, v in m)
-        used = [w for e in m for w in e]
-        assert len(used) == len(set(used))
-        ref = nx.max_weight_matching(to_nx(g), maxcardinality=True)
-        assert len(m) == len(ref) == matching_number(g)
+        assert matching_number_by_is_free(g) == nx_matching_number(g), g.rows()
 
 
 def test_matching_known_values():
-    assert matching_number(path(4)) == 2
-    assert matching_number(star(9)) == 1
-    assert matching_number(cycle(7)) == 3
-    assert matching_number(empty_graph(5)) == 0
+    assert matching_number_by_is_free(path(4)) == 2
+    assert matching_number_by_is_free(star(9)) == 1
+    assert matching_number_by_is_free(cycle(7)) == 3
+    assert matching_number_by_is_free(empty_graph(5)) == 0
     petersen = from_edges(10, nx.petersen_graph().edges())
-    assert matching_number(petersen) == 5
+    assert matching_number_by_is_free(petersen) == 5
+
+
+BLOSSOM_GRAPH = from_edges(8, [(0, 1), (0, 6), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 7)])
+
+
+def matching_graphs():
+    """(graph, largest k to ask) over the atlas, seeded random graphs, hub
+    joins past 61 vertices (one bitset row spans several words) and three
+    graphs that the greedy matching alone does not decide."""
+    yield from_edges(4, [(0, 1), (0, 2), (1, 3)]), 3  # greedy takes 0-1 alone
+    yield BLOSSOM_GRAPH, 5
+    # greedy leaves one vertex of K59 exposed and 58 in the cover, where a
+    # search over the matchings inside the cover would not finish
+    yield complete(59), 30
+    for G in nx.graph_atlas_g():
+        yield from_edges(G.number_of_nodes(), G.edges()), 6
+    rnd = random.Random(1965)
+    for _ in range(400):
+        n = rnd.randint(5, 40)
+        yield random_graph(rnd, n, rnd.choice([1.0, 2.0, 4.0, 8.0]) / n), 7
+    for _ in range(40):
+        n = rnd.randint(62, 90)
+        yield random_hubbed_graph(rnd, n, rnd.choice([0.5, 1.0, 2.0]) / n, rnd.randint(1, 3)), 7
+    for text in ("star:n=70", "jn:n=71", "wheel:n=64", "k2n2:n=66", "claimw:t=3,n=75",
+                 "k1hop:t=2,l=5,n=80", "k2hp:t=3,l=4,n=62"):
+        yield construct(FamilySpec.parse(text)), 7
+
+
+def test_matching_freeness_matches_networkx_oracle():
+    # the gate for M_k: a detector that wrongly answers "free" passes every
+    # family check, which only asks for freeness where the paper proves it
+    mismatches = []
+    for g, kmax in matching_graphs():
+        nu = nx_matching_number(g)
+        for k in range(1, kmax + 1):
+            if is_free(g, ForbiddenSpec.matching(k)) != (nu < k):
+                mismatches.append((g.rows(), k, nu))
+    assert mismatches == []
+
+
+def test_matching_augments_through_a_blossom(monkeypatch):
+    # C5 on 1..5 with the stem 6-0-1 and the pendant 2-7. Greedy matches
+    # 0-1, 2-3, 4-5; the one augmenting path 6-0=1-5=4-3=2-7 enters the odd
+    # cycle at its base 1 and leaves by 2, so the search from 6 finds it
+    # only by shrinking the cycle.
+    calls = []
+    augment = forbidden._augment
+
+    def spy(adj, mate, root):
+        calls.append(augment(adj, mate, root))
+        return calls[-1]
+
+    monkeypatch.setattr(forbidden, "_augment", spy)
+    assert not is_free(BLOSSOM_GRAPH, ForbiddenSpec.matching(4))
+    assert calls == [True]
 
 
 def test_is_free_semantics():

@@ -305,20 +305,24 @@ def test_spexlab_leaves_scipy_unimported():
 
 def test_default_paths_leave_networkx_unimported():
     # networkx costs every process about 0.2 s to import; only the
-    # left-right planarity fallback and the matching detector use it
+    # left-right planarity fallback uses it, and no freeness test does
     code = (
         "import sys\n"
         "import spexlab.cli\n"
         "from spexlab.experiments import run_suite\n"
         "from spexlab.forbidden import ForbiddenSpec, is_free\n"
         "from spexlab.graph import complete, cycle, join, path\n"
+        "from spexlab.recognition import is_planar\n"
         "from spexlab.search import SearchConfig, exhaustive_spex\n"
         "from spexlab.spectral import spectral_radius\n"
         "spectral_radius(join(complete(1), cycle(9)))\n"
         "exhaustive_spex(SearchConfig(4, 7))\n"
         "assert run_suite('lemma-lm1').ok\n"
+        "g = join(complete(2), path(40))\n"
+        "for spec in ('C4', 'B1x5', 'B2x3', 'M2', 'M30'):\n"
+        "    is_free(g, ForbiddenSpec.parse(spec))\n"
         "assert 'networkx' not in sys.modules\n"
-        "assert is_free(path(3), ForbiddenSpec.parse('M2'))\n"
+        "assert not is_planar(complete(5)).planar\n"
     )
     assert "'networkx'" in _modules_after(code, "networkx")
 
