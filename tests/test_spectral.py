@@ -499,6 +499,33 @@ def test_longdouble_route_is_capped_by_max_iterations():
     assert err.value.best.iterations == 2
 
 
+@pytest.mark.parametrize(
+    "case,tol,iterations,rho,residual,perron_sha256",
+    [
+        ("K3", 1e-16, 200, "0x1.0000000000000p+1", "0x1.0000000000000p-60",
+         "9a4ab85ea2e66db8d6ab3741b38de0e58f0074ec566c3b30f1bc9ecc1ff7a376"),
+        ("random", 8e-16, 248, "0x1.69a5e15c2fe1fp+2", "0x1.24680349d430bp-51",
+         "48f4a3ac5e4295f0a193dd4af82c0d8ccfb79caa3af4242ac2b8663e03e5f96c"),
+    ],
+)
+def test_float64_stall_hands_off_to_the_polish(
+    monkeypatch, case, tol, iterations, rho, residual, perron_sha256
+):
+    # with the rounding bound forced to 0 the float64 loop runs at a tol it
+    # cannot reach, stalls for 200 steps, and its best iterate is polished;
+    # iterations count both the float64 steps and the Rayleigh-Ritz steps
+    monkeypatch.setattr(spectral, "_float64_floor", lambda deg: 0.0)
+    if case == "K3":
+        g = complete(3)
+    else:
+        rnd = random.Random(0)
+        g = random_connected_graph(rnd, rnd.randint(6, 12), 0.4)
+    est = spectral_radius(g, tol)
+    assert est.path == "polish" and est.iterations == iterations
+    assert est.rho.hex() == rho and est.residual.hex() == residual
+    assert hashlib.sha256(est.perron.tobytes()).hexdigest() == perron_sha256
+
+
 def test_polish_floor_above_tol_raises():
     # the longdouble floor of K3 sits near 1e-18, so tol 1e-20 cannot be met
     with pytest.raises(ConvergenceError) as err:
