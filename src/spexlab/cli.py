@@ -320,11 +320,6 @@ def _cmd_verify(args) -> tuple[int, dict[str, str]]:
             (name, {k: v for k, v in params.items() if k in suites[name].keys})
             for name in sorted(suites)
         ]
-    for name, p in runs:  # one value for a tuple parameter is a 1-tuple
-        defaults = suites[name].defaults if name in suites else {}
-        for k, v in p.items():
-            if isinstance(defaults.get(k), tuple) and not isinstance(v, tuple):
-                p[k] = (v,)
     results = [experiments.run_suite(name, p) for name, p in runs]
     for r in results:
         print(r.summary(), file=sys.stderr)

@@ -107,18 +107,20 @@ class FamilySpec:
         if not m:
             raise ValueError(f"bad family spec {text!r}; expected kind:k=v,...")
         kind = m.group(1).lower()
-        fields = {"t": 0, "l": 0, "n": -1}
+        fields: dict[str, int] = {}
         for piece in filter(None, (p.strip() for p in m.group(2).split(","))):
             if "=" not in piece:
                 raise ValueError(f"bad family parameter {piece!r}")
             key, _, val = piece.partition("=")
             key = key.strip()
-            if key not in fields:
+            if key not in ("t", "l", "n"):
                 raise ValueError(f"unknown family parameter {key!r}")
+            if key in fields:
+                raise ValueError(f"family parameter {key!r} given twice")
             fields[key] = int(val)
-        if fields["n"] < 0:
+        if fields.get("n", -1) < 0:
             raise ValueError("family spec needs n")
-        return cls(kind, fields["n"], fields["t"], fields["l"])
+        return cls(kind, fields["n"], fields.get("t", 0), fields.get("l", 0))
 
     def __str__(self) -> str:
         extra = ""

@@ -219,10 +219,11 @@ def eigenvector_box(hubs: int, h: PathPartition) -> tuple[float, float]:
     return worst, rho
 
 
-def _box_cases(hubs: int, grid) -> Iterator[Case]:
-    """Eigenvector-box checks on K1 v H_OP(n1, n2) or K2 v H_P(n1, n2)."""
+def _box_cases(hubs: int, points) -> Iterator[Case]:
+    """Eigenvector-box checks on K1 v H_OP(n1, n2) or K2 v H_P(n1, n2) at
+    each (n1, n2, n) of ``points``."""
     label = "K1vHOP" if hubs == 1 else "K2vHP"
-    for n1, n2, n in grid:
+    for n1, n2, n in points:
 
         def fn(n1=n1, n2=n2, n=n):
             worst, rho = eigenvector_box(hubs, fill_partition(n - hubs, n1, n2))
@@ -233,9 +234,9 @@ def _box_cases(hubs: int, grid) -> Iterator[Case]:
 
 
 def _claim_3_2(
-    grid=((5, 3, 300), (7, 4, 600), (6, 5, 1400), (9, 6, 3400)), eps=1e-8
+    points=((5, 3, 300), (7, 4, 600), (6, 5, 1400), (9, 6, 3400)), eps=1e-8
 ) -> Iterator[Case]:
-    for s1, s2, n in grid:
+    for s1, s2, n in points:
 
         def fn(s1=s1, s2=s2, n=n):
             filler = n - 1 - s1 - s2
@@ -551,11 +552,11 @@ SUITES: dict[str, Suite] = {
         "transformation strictly raises rho of K2-join above its threshold",
     ),
     "claim-3.1": Suite(
-        partial(_box_cases, 1, grid=((5, 3, 5000), (9, 2, 5000), (5, 3, 12000), (9, 2, 12000))),
+        partial(_box_cases, 1, points=((5, 3, 5000), (9, 2, 5000), (5, 3, 12000), (9, 2, 12000))),
         "non-hub Perron entries in [1/rho, 1/rho + 2.04/rho^2]",
     ),
     "lemma-lm4": Suite(
-        partial(_box_cases, 2, grid=((7, 3, 5000),)),
+        partial(_box_cases, 2, points=((7, 3, 5000),)),
         "non-hub Perron entries in [2/rho, 2/rho + 4.496/rho^2]",
     ),
     "claim-3.2": Suite(_claim_3_2, "path-entry difference sequences stay in the A_i/B_i boxes"),
@@ -607,8 +608,9 @@ def _fits(value, default) -> bool:
 
 def run_suite(suite: str, params: dict | None = None) -> SuiteResult:
     """Run one suite's cases in order; ``params`` are keyword arguments of
-    the suite's builder. A key it does not take, a value of the wrong
-    shape and parameters that leave no case are each a ValueError."""
+    the suite's builder, where one value for a tuple parameter stands for
+    a 1-tuple. A key it does not take, a value of the wrong shape and
+    parameters that leave no case are each a ValueError."""
     if suite not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise ValueError(f"unknown suite {suite!r}; known suites: {known}")
@@ -621,6 +623,10 @@ def run_suite(suite: str, params: dict | None = None) -> SuiteResult:
             f" accepted: {', '.join(sorted(keys))}"
         )
     defaults = SUITES[suite].defaults
+    params = {
+        k: (v,) if isinstance(defaults[k], tuple) and not isinstance(v, tuple) else v
+        for k, v in params.items()
+    }
     for key in sorted(params):
         if not _fits(params[key], defaults[key]):
             raise ValueError(

@@ -1,17 +1,16 @@
 """Certified spectral-radius estimates and strict comparisons of them.
 
-``spectral_radius`` picks one of two routes for each connected component
-before iterating. B = gamma_(Delta+2) * 2 rho_ub (``_float64_floor``)
-bounds the float64 rounding of the power path's residual; Delta is the
-component's largest degree and rho_ub = min(Delta, sqrt(2m - n + 1)).
-When B <= tol / 2, shifted power iteration (A + I, degree-vector start)
-runs in float64. When B > tol / 2, float64 cannot certify tol, so the
-component goes straight to the longdouble solve ``_polish``: Rayleigh-Ritz
-steps on span{x, A x - rho x} from the degree vector, certified in
-longdouble. The same solve takes over when a float64 run stalls above
-tol. At the default tol every graph on up to 16 vertices takes the float64
-route; hub joins with thousands of vertices, and strict tols, take the
-longdouble one.
+``spectral_radius`` makes one route decision for each connected
+component before iterating. B = gamma_(Delta+2) * 2 rho_ub
+(``_float64_floor``) bounds the float64 rounding of the power path's
+residual; Delta is the component's largest degree and rho_ub = min(Delta,
+sqrt(2m - n + 1)). When B <= tol / 2, shifted power iteration (A + I,
+degree-vector start) runs in float64. Whatever it leaves uncertified (all
+of it when B > tol / 2, or a run that stalls above tol or spends the cap)
+goes to the one longdouble solve ``_polish``: Rayleigh-Ritz steps on
+span{x, A x - rho x}, certified in longdouble. At the default tol every
+graph on up to 16 vertices takes the float64 route; hub joins with
+thousands of vertices, and strict tols, take the longdouble one.
 
 ``residual`` is ||A x - rho x||_2 for the unit vector x returned; for a
 symmetric matrix some eigenvalue lies within residual of rho. That it is
@@ -49,10 +48,10 @@ class SpectralEstimate:
     """``path`` names the solver that produced the estimate: "power"
     (float64 power iteration only), "polish" (the longdouble Rayleigh-Ritz
     solve: straight from the degree vector when the float64 rounding bound
-    B exceeds tol / 2, or after a float64 run that stalled above tol) or
-    "quotient" (``joined_paths_radius``). ``iterations`` counts float64
-    power steps plus Rayleigh-Ritz steps, summed over the components; on
-    "quotient", Newton steps."""
+    B exceeds tol / 2, or after a float64 run that stalled above tol or
+    spent the cap) or "quotient" (``joined_paths_radius``). ``iterations``
+    counts float64 power steps plus Rayleigh-Ritz steps, summed over the
+    components; on "quotient", Newton steps."""
 
     rho: float
     residual: float
@@ -63,7 +62,7 @@ class SpectralEstimate:
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration cap hit; ``best`` carries the last estimate."""
+    """Iteration cap hit or residual above tol; ``best`` is the estimate."""
 
     def __init__(self, message: str, best: SpectralEstimate):
         super().__init__(message)
@@ -98,97 +97,90 @@ def _product(a: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
     return y
 
 
-def spectral_radius(
-    g: Graph, tol: float = DEFAULT_TOL, max_iterations: int = MAX_ITERATIONS
-) -> SpectralEstimate:
+def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> SpectralEstimate:
     """Spectral radius of the adjacency matrix with a residual certificate.
 
     Disconnected graphs score as the max over components; the returned
     Perron vector is supported on the winning component (entrywise
-    positive there, zero elsewhere). Raises ``ConvergenceError`` when the
-    iteration cap is hit or the winning component's residual ends above
-    tol (its polish stalled at the longdouble floor).
+    positive there, zero elsewhere). The components share
+    ``MAX_ITERATIONS`` steps. Raises ``ConvergenceError`` when a component
+    ends above tol with the cap spent (the components after it go
+    unsolved), or when the winning component's residual ends above tol
+    (its polish stalled at the longdouble floor).
     """
     if g.n == 0:
         raise ValueError("spectral radius undefined for the empty graph")
     if not 0 < tol < math.inf:  # NaN fails too: it would certify any iterate
         raise ValueError(f"tol must be finite and positive, got {tol}")
     adj = g.adjacency()
-    comps = components_of(adj)
     best: tuple[float, float, list[int], np.ndarray, str] | None = None
-    total_iters = 0
+    iterations = 0
     failure: str | None = None
-    for comp in comps:
-        if len(comp) == 1:
-            rho_c, res_c, x_c, iters, path_c = 0.0, 0.0, np.ones(1), 0, "power"
-        else:
-            sub = adj
-            if len(comp) < g.n:  # relabel by position; comp is sorted, so rows stay ascending
-                pos = {v: i for i, v in enumerate(comp)}
-                sub = [[pos[w] for w in adj[v]] for v in comp]
-            rho_c, res_c, x_c, iters, converged, path_c = _power_iterate(
-                sub, tol, max_iterations - total_iters
-            )
-            if not converged and total_iters + iters >= max_iterations:
-                failure = f"iteration cap {max_iterations} hit"
-        total_iters += iters
-        if best is None or rho_c > best[0]:
-            best = (rho_c, res_c, comp, x_c, path_c)
-        if failure:
+    for comp in components_of(adj):
+        sub = adj
+        if len(comp) < g.n:  # relabel by position; comp is sorted, so rows stay ascending
+            pos = {v: i for i, v in enumerate(comp)}
+            sub = [[pos[w] for w in adj[v]] for v in comp]
+        rho, res, x, steps, path_used = _component_radius(
+            sub, tol, MAX_ITERATIONS - iterations
+        )
+        iterations += steps
+        if best is None or rho > best[0]:
+            best = (rho, res, comp, x, path_used)
+        if res > tol and iterations == MAX_ITERATIONS:
+            failure = f"iteration cap {MAX_ITERATIONS} hit"
             break
     assert best is not None
-    rho, res, comp, x_c, path_used = best
+    rho, res, comp, x, path_used = best
     if failure is None and res > tol:
         failure = f"residual {res:.3g} above tol {tol:g} after the polish"
     perron = np.zeros(g.n)
-    perron[comp] = x_c
+    perron[comp] = x
     perron, perron_max = _normalized(perron)
-    est = SpectralEstimate(rho, res, total_iters, perron, perron_max, path_used)
+    est = SpectralEstimate(rho, res, iterations, perron, perron_max, path_used)
     if failure:
         raise ConvergenceError(failure, est)
     return est
 
 
-def _power_iterate(adj: list[list[int]], tol: float, budget: int):
-    """rho, residual, unit Perron vector, steps, whether it converged, and
-    the path of one connected component (n >= 2) with neighbour lists
-    ``adj``, by the route the module docstring describes. The longdouble
-    route gets the whole budget, like the float64 loop it replaces. That
-    loop stops at residual <= tol, or at the float64 rounding floor: when
-    the residual has not improved for 200 iterations the best iterate is
-    taken (its residual is still a sound certificate), and if it sits above
-    tol, ``_polish`` continues from it with what is left of the budget.
+def _component_radius(adj: list[list[int]], tol: float, budget: int):
+    """rho, residual, unit Perron vector, steps and path of one connected
+    component with neighbour lists ``adj``, by the route the module
+    docstring describes, in at most ``budget`` steps.
+
+    The float64 loop runs only when ``_float64_floor`` allows tol. It
+    returns at residual <= tol; it stops at the float64 rounding floor,
+    when the residual has not improved for 200 steps, or at the budget.
+    The iterate of least residual, or the degree vector when the loop did
+    not run, then goes to ``_polish`` with what is left of the budget.
     """
+    if len(adj) == 1:
+        return 0.0, 0.0, np.ones(1), 0, "power"
     indptr, cols = _csr(adj)
     deg = np.diff(indptr)
     a = np.repeat(np.arange(len(deg)), deg), cols  # row and column of each entry
     x = deg / np.linalg.norm(deg)
-    if _float64_floor(deg) > tol / 2:
-        rho, res, x, iters = _polish(a, x, tol, budget)
-        return rho, res, x, iters, res <= tol, "polish"
-    best = (math.inf, 0.0, x)  # residual, rho, iterate
-    since_improvement = 0
-    iters = 0
-    while iters < budget:
-        ax = _product(a, x)
-        rho = float(x @ ax)
-        res = float(np.linalg.norm(ax - rho * x))
-        if res < best[0]:
-            best = (res, rho, x)
-            since_improvement = 0
-        else:
-            since_improvement += 1
-        if res <= tol or since_improvement >= 200:
-            res, rho, x = best
-            if res > tol:
-                rho, res, x, extra = _polish(a, x, tol, budget - iters)
-                return rho, res, x, iters + extra, res <= tol, "polish"
-            return rho, res, np.abs(x), iters, True, "power"
-        y = ax + x  # shift by +I keeps the top eigenvalue dominant
-        x = y / np.linalg.norm(y)
-        iters += 1
-    res, rho, x = best
-    return rho, res, np.abs(x), iters, res <= tol, "power"
+    best = (math.inf, x)  # residual, iterate
+    steps = 0
+    if _float64_floor(deg) <= tol / 2:
+        since_improvement = 0
+        while steps < budget:
+            ax = _product(a, x)
+            rho = float(x @ ax)
+            res = float(np.linalg.norm(ax - rho * x))
+            if res <= tol:
+                return rho, res, np.abs(x), steps, "power"
+            if res < best[0]:
+                best, since_improvement = (res, x), 0
+            else:
+                since_improvement += 1
+                if since_improvement == 200:
+                    break
+            y = ax + x  # shift by +I keeps the top eigenvalue dominant
+            x = y / np.linalg.norm(y)
+            steps += 1
+    rho, res, x, extra = _polish(a, best[1], tol, budget - steps)
+    return rho, res, x, steps + extra, "polish"
 
 
 def _float64_floor(deg: np.ndarray) -> float:

@@ -319,10 +319,24 @@ def test_verify_params_take_booleans_and_one_value_tuples(capsys, monkeypatch):
         capsys, "verify", "--suite", "all", "--format", "csv", "--param", "grid=False",
         "--param", "dominance=TRUE", "--param", "ls=4", "--param", "nmax=5",
     )
-    assert code == 0
-    assert seen["thm-2"] == {"grid": False, "dominance": True, "ls": (4,)}
-    assert seen["claim-3.5"] == {"ls": (4,)}
-    assert seen["lemma-lm2"] == {"nmax": 5}  # not a tuple parameter: kept as is
+    assert code == 0  # run_suite reads one value for a tuple parameter as a 1-tuple
+    assert seen["thm-2"] == {"grid": False, "dominance": True, "ls": 4}
+    assert seen["claim-3.5"] == {"ls": 4}
+    assert seen["lemma-lm2"] == {"nmax": 5}
+
+
+def test_verify_all_without_the_theorem_grids(capsys):
+    # unmocked: grid is a switch of the thm suites alone, so the other
+    # suites run at their defaults and claim-3.1 fails 2 of 4 by design
+    from spexlab import experiments
+
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "all", "--param", "grid=false", "--format", "csv"
+    )
+    rows = out.splitlines()
+    assert code == 2 and len(rows) == 1 + len(experiments.SUITES)
+    for row in ("thm-2,4,4,0,0", "thm-3,2,2,0,0", "thm-4,4,4,0,0", "claim-3.1,4,2,2,0"):
+        assert row in rows, row
 
 
 def test_verify_false_switches_a_flag_off(capsys):
@@ -356,8 +370,8 @@ def test_verify_refuses_a_suite_that_runs_no_case(capsys, suite, params, message
     [
         ("lemma-lm1", ["s2_max=0"], "s2_max >= 1"),  # was a ZeroDivisionError
         ("lemma-lm1", ["margin=-10"], "margin >= 1"),  # never stopped
-        ("claim-3.2", ["grid=5"], "suite 'claim-3.2': bad parameter value"),
-        ("claim-3.1", ["grid=1"], "suite 'claim-3.1': bad parameter value"),
+        ("claim-3.2", ["points=5"], "suite 'claim-3.2': bad parameter value"),
+        ("claim-3.1", ["points=1"], "suite 'claim-3.1': bad parameter value"),
         ("lemma-lm2", ["nmax=2", "family_ns="], "suite 'lemma-lm2': bad parameter value"),
         # each value is checked against the shape of its default before any
         # case runs: these used to exit 3, or run with s2_max = 2

@@ -120,6 +120,8 @@ def test_family_spec_parse_and_str():
     for text in ("", "wheel", "wheel:t", "wheel:x=3,n=5", "bogus:n=5", "wheel:"):
         with pytest.raises(ValueError):
             FamilySpec.parse(text)
+    with pytest.raises(ValueError, match="family parameter 'n' given twice"):
+        FamilySpec.parse("k1hop:t=2,l=5,n=40,n=12")
 
 
 @given(

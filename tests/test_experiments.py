@@ -112,6 +112,14 @@ def test_suites_are_deterministic():
     assert a == b
 
 
+def test_one_value_for_a_tuple_parameter_is_a_one_tuple():
+    one = run_suite("claim-3.5", {"ls": 4}).to_dict()
+    assert one == run_suite("claim-3.5", {"ls": (4,)}).to_dict()
+    assert one["cases"] == 8
+    with pytest.raises(ValueError, match=r"bad parameter value ts=\(2\.5,\)"):
+        run_suite("claim-4.3", {"ts": 2.5})
+
+
 def test_failure_entries_carry_repro_data():
     # an impossibly tight margin forces no failures; shrink the sample and
     # use the structure-report suite to check the entry schema instead

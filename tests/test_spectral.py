@@ -350,11 +350,14 @@ def test_tol_must_be_finite_and_positive(tol):
         joined_paths_radius(1, PathPartition([4, 2]), tol)
 
 
-def test_convergence_error_carries_best():
+def test_convergence_error_carries_best(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 3)
     with pytest.raises(ConvergenceError) as err:
-        spectral_radius(path(300), tol=1e-12, max_iterations=3)
+        spectral_radius(path(300), tol=1e-12)
     assert isinstance(err.value.best, SpectralEstimate)
     assert 0 < err.value.best.rho < 2.0
+    # the capped float64 iterate is certified by the polish in 0 steps
+    assert (err.value.best.path, err.value.best.iterations) == ("polish", 3)
 
 
 # spectral_radius outputs pinned bit for bit: rho.hex(), residual.hex(),
@@ -489,13 +492,14 @@ def test_hub_joins_at_scale_take_the_longdouble_solve(name, params, hubs):
     assert abs(est.rho - quo.rho) <= est.residual + quo.residual
 
 
-def test_longdouble_route_is_capped_by_max_iterations():
+def test_longdouble_route_is_capped_by_max_iterations(monkeypatch):
     # it replaces the float64 loop, so it shares that loop's cap
     big = construct(FamilySpec("k1hop", 2000, t=2, l=5))
     est = spectral_radius(big, tol=1e-13)
     assert est.path == "polish" and est.iterations > 2
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 2)
     with pytest.raises(ConvergenceError) as err:
-        spectral_radius(big, tol=1e-13, max_iterations=2)
+        spectral_radius(big, tol=1e-13)
     assert err.value.best.iterations == 2
 
 
