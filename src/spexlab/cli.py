@@ -25,8 +25,8 @@ from .constructions import transform_successors
 from .forbidden import ForbiddenSpec, is_free
 from .graph import Graph
 from .graph6 import graph6_decode, graph6_encode
-from .recognition import is_outerplanar, is_planar
-from .search import CLASSES, EXHAUSTIVE_CAP, MODES, SearchConfig
+from .recognition import CLASSES, in_class
+from .search import EXHAUSTIVE_CAP, MODES, SearchConfig
 from .search import exhaustive_spex, local_search_spex
 from .spectral import DEFAULT_TOL, ConvergenceError, spectral_radius
 from . import experiments
@@ -204,10 +204,9 @@ def _cmd_check(args) -> tuple[int, dict[str, str]]:
     payload: dict = {"graph6": graph6_encode(g), "n": g.n}
     bits = []
     if args.klass is not None:
-        rec = is_outerplanar(g) if args.klass == "outerplanar" else is_planar(g)
         payload["class"] = args.klass
-        payload["in_class"] = rec.planar
-        bits.append(f"{args.klass}={rec.planar}")
+        payload["in_class"] = in_class(g, args.klass).planar
+        bits.append(f"{args.klass}={payload['in_class']}")
     if args.forbidden is not None:
         spec = ForbiddenSpec.parse(args.forbidden)
         payload["forbidden"] = str(spec)

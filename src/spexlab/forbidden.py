@@ -2,7 +2,7 @@
 
 A bouquet B_{t,l} is the graph made of t cycles of length l that pairwise
 share exactly one common hub vertex. Detection is exact subgraph
-containment: ``contains_bouquet`` packs t internally vertex-disjoint
+containment: ``find_bouquet`` packs t internally vertex-disjoint
 l-cycles through some hub. The looser edge-disjoint packing (cycles may
 also share non-hub vertices) is exposed separately as
 ``max_edge_disjoint_l_cycles_at``; one set packer serves both, over vertex
@@ -13,7 +13,7 @@ and the experiments module reports where.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .graph import Graph, _bits
@@ -102,10 +102,6 @@ def _validate_cycle(g: Graph, cyc: list[int]) -> None:
         assert g.has_edge(v, cyc[(i + 1) % len(cyc)])
 
 
-def contains_cycle_of_length(g: Graph, l: int) -> bool:
-    return find_cycle_of_length(g, l) is not None
-
-
 def find_bouquet(g: Graph, t: int, l: int) -> tuple[int, list[list[int]]] | None:
     """A B_{t,l} copy as (hub, cycles), each cycle listed from the hub;
     cycles pairwise share exactly the hub. None if g is B_{t,l}-free."""
@@ -141,68 +137,57 @@ def find_bouquet(g: Graph, t: int, l: int) -> tuple[int, list[list[int]]] | None
     return None
 
 
-def contains_bouquet(g: Graph, t: int, l: int) -> bool:
-    return find_bouquet(g, t, l) is not None
-
-
 def _walk_hub_cycles(
-    rows: Sequence[int], v: int, l: int, sink: Callable[[list[int], int, int], None], skip: int = 0
-) -> None:
-    """Visit every l-cycle through v that avoids the vertices of ``skip``
+    rows: Sequence[int], v: int, l: int, skip: int = 0
+) -> Iterator[tuple[list[int], int, int]]:
+    """Yield every l-cycle through v that avoids the vertices of ``skip``
     once, by a DFS over the bitset rows.
 
     Each cycle is v, a, ..., w, z with a < z: for every path a..w of l - 2
-    vertices in G - v that starts at a neighbour a of v, the walk calls
-    ``sink(path, inner, ends)`` once, where ``inner`` is the bitset of the
-    path and ``ends`` the nonzero bitset of the closing vertices z (the
+    vertices in G - v that starts at a neighbour a of v, the walk yields
+    ``(path, inner, ends)`` once, where ``inner`` is the bitset of the path
+    and ``ends`` the nonzero bitset of the closing vertices z (the
     neighbours of both v and w above a, off the path). ``path`` is reused
-    by the walk; a sink that keeps it must copy it. A sink ends the walk
-    early by raising.
+    by the walk; a consumer that keeps it must copy it.
     """
     start = 1 << v | skip
+    last = l - 3  # the path length at which the next vertex is the last
+    r = rows[v] & ~start  # after a is taken off: the closing vertices above a
     path: list[int] = []
-
-    def extend(w: int, mask: int, left: int, ends: int) -> None:
-        # path ends at w; `left` more vertices come before the closing one
-        if not left:
-            zs = rows[w] & ends & ~mask
-            if zs:
-                sink(path, mask ^ start, zs)
-            return
-        r = rows[w] & ~mask
-        if left == 1:  # close each next vertex here: most paths end unclosed
-            while r:
-                b = r & -r
-                r ^= b
-                x = b.bit_length() - 1
-                zs = rows[x] & ends & ~mask
-                if zs:
-                    path.append(x)
-                    sink(path, (mask | b) ^ start, zs)
-                    path.pop()
-            return
-        while r:
-            b = r & -r
-            r ^= b
-            path.append(b.bit_length() - 1)
-            extend(path[-1], mask | b, left - 1, ends)
-            path.pop()
-
-    r = rows[v] & ~start
-    try:
-        while r:
-            b = r & -r
-            r ^= b
-            if not r:  # no closing neighbour above the largest one
+    todo: list[int] = []  # the untried candidates at each shorter length
+    while r:
+        b = r & -r
+        r ^= b
+        if not r:  # no closing neighbour above the largest one
+            break
+        mask, c = start, b  # c: the candidates for the next path vertex
+        while True:
+            if len(path) == last:  # close each candidate here: most paths end unclosed
+                inner, ends = mask ^ start, r & ~mask
+                while c:
+                    x = c & -c
+                    c ^= x
+                    w = x.bit_length() - 1
+                    zs = rows[w] & ends
+                    if zs:
+                        path.append(w)
+                        yield path, inner | x, zs
+                        path.pop()
+            elif c:
+                x = c & -c
+                c ^= x
+                w = x.bit_length() - 1
+                after = rows[w] & ~mask
+                if after:  # a path that can go on from w
+                    todo.append(c)
+                    mask |= x
+                    path.append(w)
+                    c = after
+                continue
+            if not path:
                 break
-            path.append(b.bit_length() - 1)
-            extend(path[0], start | b, l - 3, r)
-            path.pop()
-    finally:
-        # extend reaches itself through its closure; emptying that cell
-        # frees the sink and what it holds now instead of at the next full
-        # collection, also when the sink stopped the walk
-        del extend
+            c = todo.pop()
+            mask ^= 1 << path.pop()
 
 
 _SPREAD = (1 << 64) - 59  # a prime
@@ -216,8 +201,7 @@ def _hub_cycle_sets(rows: Sequence[int], v: int, l: int, skip: int = 0) -> list[
     # pairing each mask with its residue mod another prime spreads them.
     seen: set[tuple[int, int]] = set()
     masks: list[int] = []
-
-    def keep(path: list[int], inner: int, ends: int) -> None:
+    for _, inner, ends in _walk_hub_cycles(rows, v, l, skip):
         while ends:
             b = ends & -ends
             ends ^= b
@@ -226,26 +210,14 @@ def _hub_cycle_sets(rows: Sequence[int], v: int, l: int, skip: int = 0) -> list[
             if key not in seen:
                 seen.add(key)
                 masks.append(m)
-
-    _walk_hub_cycles(rows, v, l, keep, skip)
     return masks
-
-
-class _Found(Exception):
-    """Raised by a sink to stop a walk at the first cycle it meets."""
 
 
 def _first_hub_cycle(rows: Sequence[int], v: int, l: int, skip: int) -> list[int] | None:
     """The first l-cycle through v in walk order that avoids the vertices
     of skip, listed from v, or None."""
-
-    def stop(path: list[int], inner: int, ends: int) -> None:
-        raise _Found([v, *path, (ends & -ends).bit_length() - 1])
-
-    try:
-        _walk_hub_cycles(rows, v, l, stop, skip)
-    except _Found as found:
-        return found.args[0]
+    for path, _, ends in _walk_hub_cycles(rows, v, l, skip):
+        return [v, *path, (ends & -ends).bit_length() - 1]
     return None
 
 
@@ -304,18 +276,22 @@ def _validate_bouquet(g: Graph, v: int, cycles: list[list[int]]) -> None:
 def max_edge_disjoint_l_cycles_at(g: Graph, v: int, l: int, cap: int) -> int:
     """Largest k <= cap of pairwise edge-disjoint l-cycles through v.
 
-    The walk's sink turns each cycle into the bitmask of its edges, edge
-    uw (u < w) as bit u * n + w, so edge-disjoint cycles are disjoint masks
+    Each cycle of the walk becomes the bitmask of its edges, edge uw
+    (u < w) as bit u * n + w, so edge-disjoint cycles are disjoint masks
     and the bouquet packer decides each k in turn; intended for desk-scale
     graphs (the cycle list through v must stay small).
     """
+    if l < 3:
+        raise ValueError("cycle length must be >= 3")
     n = g.n
-    masks: list[int] = []
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} out of range 0..{n - 1}")
 
     def bit(u: int, w: int) -> int:
         return 1 << (u * n + w if u < w else w * n + u)
 
-    def keep(path: list[int], inner: int, ends: int) -> None:
+    masks: list[int] = []
+    for path, _, ends in _walk_hub_cycles(g.rows(), v, l):
         m, prev = 0, v
         for w in path:
             m |= bit(prev, w)
@@ -324,8 +300,6 @@ def max_edge_disjoint_l_cycles_at(g: Graph, v: int, l: int, cap: int) -> int:
             z = ends.bit_length() - 1
             ends ^= 1 << z
             masks.append(m | bit(prev, z) | bit(z, v))
-
-    _walk_hub_cycles(g.rows(), v, l, keep)
     best = 0
     while best < cap and _pack_hub_cycles(masks, best + 1) is not None:
         best += 1
@@ -445,7 +419,7 @@ def _augment(adj: list[list[int]], mate: list[int], root: int) -> bool:
 def is_free(g: Graph, spec: ForbiddenSpec) -> bool:
     """True iff g contains no copy of the forbidden substructure."""
     if spec.kind == "cycle":
-        return not contains_cycle_of_length(g, spec.l)
+        return find_cycle_of_length(g, spec.l) is None
     if spec.kind == "bouquet":
-        return not contains_bouquet(g, spec.t, spec.l)
+        return find_bouquet(g, spec.t, spec.l) is None
     return not _has_matching(g.rows(), spec.k)

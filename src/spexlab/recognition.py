@@ -7,6 +7,8 @@ from typing import Iterator
 
 from .graph import Graph
 
+CLASSES = ("outerplanar", "planar")
+
 
 @dataclass(frozen=True)
 class PlanarityVerdict:
@@ -28,16 +30,29 @@ def to_networkx(g: Graph):
     return G
 
 
-def is_planar(g: Graph) -> PlanarityVerdict:
-    """Planarity, first by one vertex deletion: g lies in K1 v (g - v), which
-    is planar when g - v is outerplanar (G. Chartrand and F. Harary, Ann.
-    Inst. H. Poincare B 3, 1967). A vertex v of maximum degree is tried, and
-    g - v is g's rows with bit v masked off and row v cleared, so v is
-    isolated. Otherwise networkx's left-right test decides.
+def in_class(g: Graph, klass: str) -> PlanarityVerdict:
+    """The verdict of the recognizer of klass, one of ``CLASSES``."""
+    if klass == "outerplanar":
+        return is_outerplanar(g)
+    if klass == "planar":
+        return is_planar(g)
+    raise ValueError(f"class must be one of {CLASSES}, got {klass!r}")
 
-    Witness tags: "apex-outerplanar" (g - v is outerplanar),
-    "lr-embedding" and "lr-obstruction" (the left-right test's verdict).
+
+def is_planar(g: Graph) -> PlanarityVerdict:
+    """Planarity: refuted by the edge bound m <= 3n - 6, else decided
+    first by one vertex deletion: g lies in K1 v (g - v), which is planar
+    when g - v is outerplanar (G. Chartrand and F. Harary, Ann. Inst. H.
+    Poincare B 3, 1967). A vertex v of maximum degree is tried, and g - v
+    is g's rows with bit v masked off and row v cleared, so v is isolated.
+    Otherwise networkx's left-right test decides.
+
+    Witness tags: "edge-bound" (more than 3n-6 edges), "apex-outerplanar"
+    (g - v is outerplanar), "lr-embedding" and "lr-obstruction" (the
+    left-right test's verdict).
     """
+    if g.n >= 3 and g.edge_count() > 3 * g.n - 6:
+        return PlanarityVerdict(False, "edge-bound")
     if g.n:
         v = max(range(g.n), key=g.degree)
         keep = ~(1 << v)
@@ -62,7 +77,7 @@ def is_outerplanar(g: Graph) -> PlanarityVerdict:
     K2,3 minor) and "reduction-stuck" (a block of minimum degree 3: a K4
     minor).
     """
-    if quick_reject_outerplanar(g) is False:
+    if g.n >= 2 and g.edge_count() > 2 * g.n - 3:
         return PlanarityVerdict(False, "edge-bound")
     for block in _blocks(g):
         if len(block) > 1:  # single edges are bridges
@@ -142,19 +157,4 @@ def _reduce_block(edges: list[tuple[int, int]]) -> str | None:
                 todo.append(u)
             if len(nw) == 2:
                 todo.append(w)
-    return None
-
-
-def quick_reject_outerplanar(g: Graph) -> bool | None:
-    """False if the edge bound e <= 2n-3 already rules out outerplanarity,
-    None when the cheap test is inconclusive."""
-    if g.n >= 2 and g.edge_count() > 2 * g.n - 3:
-        return False
-    return None
-
-
-def quick_reject_planar(g: Graph) -> bool | None:
-    """False if the edge bound e <= 3n-6 already rules out planarity."""
-    if g.n >= 3 and g.edge_count() > 3 * g.n - 6:
-        return False
     return None

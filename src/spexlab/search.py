@@ -24,15 +24,9 @@ import numpy as np
 from .forbidden import ForbiddenSpec, is_free
 from .graph import Graph, _bits, empty_graph
 from .graph6 import graph6_from_body
-from .recognition import (
-    is_outerplanar,
-    is_planar,
-    quick_reject_outerplanar,
-    quick_reject_planar,
-)
+from .recognition import CLASSES, in_class
 from .spectral import spectral_radius
 
-CLASSES = ("outerplanar", "planar")
 MODES = ("exhaustive", "local")
 TIE_WINDOW = 1e-9
 EXHAUSTIVE_CAP = 10  # largest n exhaustive search runs at unless told otherwise
@@ -304,15 +298,11 @@ PRUNING = (  # the counters of one enumeration, reported as an entry's "pruned"
 
 def _reject(g: Graph, klass: str, forbidden: ForbiddenSpec | None) -> str | None:
     """The pruning counter that ``g`` falls in, or None when ``g`` is in
-    ``klass`` and ``forbidden``-free. The quick edge bound only refutes."""
-    if klass == "outerplanar":
-        quick, full = quick_reject_outerplanar, is_outerplanar
-    else:
-        quick, full = quick_reject_planar, is_planar
-    if quick(g) is False:
-        return "quick_reject"
-    if not full(g):
-        return "class_reject"
+    ``klass`` and ``forbidden``-free; the recognizer's edge-bound refutation
+    counts as a quick reject."""
+    verdict = in_class(g, klass)
+    if not verdict:
+        return "quick_reject" if verdict.witness == "edge-bound" else "class_reject"
     if forbidden is not None and not is_free(g, forbidden):
         return "forbidden_reject"
     return None

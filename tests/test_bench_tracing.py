@@ -10,8 +10,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from spexlab import graph
-from spexlab.graph import path
+from spexlab import cli, graph, search
+from spexlab.graph import complete, path
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -35,3 +35,24 @@ def test_tracer_installs_and_uninstalls_against_the_library():
         tracer.uninstall()
     assert dict(vars(graph.Graph)) == before
     assert [span[2] for span in tracer.spans] == [tracing.GRAPH_DERIVE]
+
+
+def test_tracer_sees_every_class_check(capsys):
+    # the class checks of search and of the CLI reach the recognizers
+    # through recognition's module globals, which the tracer rebinds
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert search._reject(complete(5), "outerplanar", None) == "quick_reject"
+        rejected = [span[2] for span in tracer.take()[0]]
+        assert cli.main(["check", "--family", "wheel:n=8", "--class", "planar"]) == 0
+        checked = [span[2] for span in tracer.take()[0]]
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out.strip() == "planar=True"
+    assert rejected == ["recognition.outerplanar"]
+    # the planar check and, inside it, the outerplanar one of g - v
+    assert [name for name in checked if name.startswith("recognition.")] == [
+        "recognition.outerplanar", "recognition.planar"
+    ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -14,8 +15,6 @@ from helpers import graphs, random_graph, random_hubbed_graph, to_nx
 from spexlab.constructions import FamilySpec, PathPartition, construct, joined_paths
 from spexlab.forbidden import (
     ForbiddenSpec,
-    contains_bouquet,
-    contains_cycle_of_length,
     find_bouquet,
     find_cycle_of_length,
     is_free,
@@ -74,10 +73,10 @@ def test_cycle_detector_known():
     assert find_cycle_of_length(cycle(5), 5) is not None
     assert find_cycle_of_length(cycle(5), 4) is None
     assert find_cycle_of_length(path(6), 3) is None
-    assert contains_cycle_of_length(complete(5), 3)
-    assert contains_cycle_of_length(complete(5), 5)
-    assert not contains_cycle_of_length(complete_bipartite(2, 3), 5)
-    assert contains_cycle_of_length(complete_bipartite(2, 3), 4)
+    assert find_cycle_of_length(complete(5), 3) is not None
+    assert find_cycle_of_length(complete(5), 5) is not None
+    assert is_free(complete_bipartite(2, 3), ForbiddenSpec.cycle(5))
+    assert find_cycle_of_length(complete_bipartite(2, 3), 4) is not None
     with pytest.raises(ValueError):
         find_cycle_of_length(cycle(5), 2)
 
@@ -160,7 +159,7 @@ def test_cycle_witness_matches_reference_on_families():
 @settings(max_examples=60, deadline=None)
 def test_single_bouquet_is_cycle(g):
     for l in (3, 4, 5):
-        assert contains_bouquet(g, 1, l) == contains_cycle_of_length(g, l)
+        assert is_free(g, ForbiddenSpec.bouquet(1, l)) == is_free(g, ForbiddenSpec.cycle(l))
 
 
 def test_bouquet_on_exact_bouquets():
@@ -174,15 +173,15 @@ def test_bouquet_on_exact_bouquets():
         internals = [set(c[1:]) for c in cycles]
         for a, bset in itertools.combinations(internals, 2):
             assert not a & bset
-        assert not contains_bouquet(b, t + 1, l)
+        assert is_free(b, ForbiddenSpec.bouquet(t + 1, l))
 
 
 def test_friendship_graphs():
     for t in (1, 2, 3, 4):
         f = join(complete(1), disjoint_union([path(2)] * t))
-        assert contains_bouquet(f, t, 3)
-        assert not contains_bouquet(f, t + 1, 3)
-        assert not contains_bouquet(f, 1, 4)
+        assert find_bouquet(f, t, 3) is not None
+        assert is_free(f, ForbiddenSpec.bouquet(t + 1, 3))
+        assert is_free(f, ForbiddenSpec.bouquet(1, 4))
 
 
 def test_bouquet_against_brute_oracle():
@@ -190,7 +189,7 @@ def test_bouquet_against_brute_oracle():
     for _ in range(120):
         g = random_graph(rnd, rnd.randint(4, 8), rnd.choice([0.3, 0.5, 0.7]))
         for t, l in [(1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5)]:
-            got = contains_bouquet(g, t, l)
+            got = find_bouquet(g, t, l) is not None
             assert got == oracle_has_bouquet(g, t, l), (g.rows(), t, l)
 
 
@@ -434,9 +433,9 @@ def _spy_walks(monkeypatch) -> list[tuple[int, int]]:
     walks = []
     walk = forbidden._walk_hub_cycles
 
-    def spy(rows, v, l, sink, skip=0):
+    def spy(rows, v, l, skip=0):
         walks.append((v, skip))
-        return walk(rows, v, l, sink, skip)
+        yield from walk(rows, v, l, skip)
 
     monkeypatch.setattr(forbidden, "_walk_hub_cycles", spy)
     return walks
@@ -487,8 +486,7 @@ def test_hub_walk_visits_each_l_cycle_once():
         for l in (3, 4, 5):
             for v in range(g.n):
                 seen = []
-
-                def sink(path, inner, ends, v=v, l=l):
+                for path, _, ends in forbidden._walk_hub_cycles(g.rows(), v, l):
                     for z in range(g.n):
                         if ends >> z & 1:
                             cyc = [v, *path, z]
@@ -496,8 +494,6 @@ def test_hub_walk_visits_each_l_cycle_once():
                                 (min(cyc[i - 1], cyc[i]), max(cyc[i - 1], cyc[i]))
                                 for i in range(l)
                             ))
-
-                forbidden._walk_hub_cycles(g.rows(), v, l, sink)
                 assert len(seen) == len(set(seen))
                 assert sorted(seen, key=sorted) == reference_all_l_cycles_at(g, v, l)
 
@@ -547,6 +543,25 @@ def test_edge_disjoint_packing_matches_reference_on_bouquet_semantics_graphs():
             for v in range(g.n):
                 expected = reference_max_edge_disjoint(g, v, l, t)
                 assert max_edge_disjoint_l_cycles_at(g, v, l, t) == expected, (n, t, l, v)
+
+
+def test_edge_disjoint_packing_refuses_bad_arguments():
+    # with l = 2 the walk would never close a cycle and would list every
+    # simple path from v, about ten times more per vertex of K_n
+    g = complete(13)
+    for v, l in [(0, 2), (13, 3), (-1, 3)]:
+        with pytest.raises(ValueError):
+            max_edge_disjoint_l_cycles_at(g, v, l, 1)
+
+
+def test_first_cycle_ends_the_walk():
+    # K_60 holds about 4.5 * 10^13 9-cycles through vertex 0; only a walk that
+    # stops at its first cycle returns
+    g = complete(60)
+    t0 = time.perf_counter()
+    assert find_cycle_of_length(g, 9) == list(range(9))
+    assert find_bouquet(g, 1, 9) == (0, [list(range(9))])
+    assert time.perf_counter() - t0 < 1.0
 
 
 def nx_matching_number(g: Graph) -> int:

@@ -25,6 +25,7 @@ from helpers import (
     random_hubbed_graph,
     to_nx,
 )
+from spexlab import search
 from spexlab.constructions import FamilySpec, construct
 from spexlab.graph import (
     MAX_VERTICES,
@@ -39,11 +40,11 @@ from spexlab.graph import (
     star,
 )
 from spexlab.recognition import (
+    CLASSES,
     PlanarityVerdict,
+    in_class,
     is_outerplanar,
     is_planar,
-    quick_reject_outerplanar,
-    quick_reject_planar,
 )
 
 
@@ -138,7 +139,7 @@ def _subdivided_k4() -> Graph:
 
 
 def test_verdict_carries_witness_tag():
-    v = is_planar(complete(5))
+    v = is_planar(complete_bipartite(3, 3))
     assert not v and v.witness == "lr-obstruction"
     assert is_planar(construct(FamilySpec("wheel", 8))) == PlanarityVerdict(
         True, "apex-outerplanar"
@@ -192,11 +193,11 @@ def test_quick_rejects():
     # fan is edge-maximal outerplanar: 2n-3 edges, still accepted
     fan = join(complete(1), path(7))
     assert fan.edge_count() == 2 * fan.n - 3
-    assert quick_reject_outerplanar(fan) is None and is_outerplanar(fan)
-    assert quick_reject_outerplanar(complete(4)) is False
-    assert quick_reject_planar(complete(5)) is False
-    assert quick_reject_planar(complete(4)) is None
-    assert quick_reject_outerplanar(empty_graph(1)) is None
+    assert is_outerplanar(fan) == PlanarityVerdict(True, "reduced")
+    assert is_outerplanar(complete(4)) == PlanarityVerdict(False, "edge-bound")
+    assert is_planar(complete(5)) == PlanarityVerdict(False, "edge-bound")
+    assert is_planar(complete(4)) == PlanarityVerdict(True, "apex-outerplanar")
+    assert is_outerplanar(empty_graph(1)) == PlanarityVerdict(True, "reduced")
 
 
 def test_atlas_against_apex_oracle():
@@ -264,6 +265,15 @@ def test_families_against_apex_oracle(template):
         assert bool(is_outerplanar(g)) == apex_outerplanar(g), (template, n)
 
 
+def test_in_class_is_the_recognizer_of_its_class():
+    assert CLASSES == ("outerplanar", "planar") and search.CLASSES is CLASSES
+    for g in (join(complete(1), path(7)), complete(4), complete(5), _subdivided_k4()):
+        assert in_class(g, "outerplanar") == is_outerplanar(g)
+        assert in_class(g, "planar") == is_planar(g)
+    with pytest.raises(ValueError, match=r"class must be one of .*, got 'toroidal'"):
+        in_class(complete(4), "toroidal")
+
+
 def test_long_path_needs_no_recursion():
     assert is_outerplanar(path(MAX_VERTICES)) == PlanarityVerdict(True, "reduced")
 
@@ -272,8 +282,8 @@ def test_outerplanarity_builds_no_networkx_graph(monkeypatch):
     monkeypatch.setitem(sys.modules, "networkx", None)  # importing it now fails
     for g in (path(5), complete(4), complete_bipartite(2, 3), _subdivided_k4()):
         is_outerplanar(g)
-    with pytest.raises(ImportError):  # K5 - v = K4 is not outerplanar
-        is_planar(complete(5))
+    with pytest.raises(ImportError):  # K3,3 - v = K2,3 is not outerplanar
+        is_planar(complete_bipartite(3, 3))
 
 
 @pytest.mark.parametrize(
@@ -302,8 +312,9 @@ def test_planarity_matches_networkx_on_atlas_and_hubbed_graphs():
             rnd, rnd.randint(4, 14), rnd.choice([0.1, 0.2, 0.35]), rnd.randint(0, 3)
         )
         tags.append(_check_planarity_against_networkx(g))
-    # all three tags occur, so the certificate and both fallbacks are tested
-    assert set(tags) == {"apex-outerplanar", "lr-embedding", "lr-obstruction"}
+    # all four tags occur, so the edge bound, the certificate and both
+    # fallbacks are tested
+    assert set(tags) == {"edge-bound", "apex-outerplanar", "lr-embedding", "lr-obstruction"}
 
 
 @pytest.mark.parametrize("template", FAMILY_SPECS)

@@ -311,7 +311,7 @@ def test_default_paths_leave_networkx_unimported():
         "import spexlab.cli\n"
         "from spexlab.experiments import run_suite\n"
         "from spexlab.forbidden import ForbiddenSpec, is_free\n"
-        "from spexlab.graph import complete, cycle, join, path\n"
+        "from spexlab.graph import complete, complete_bipartite, cycle, join, path\n"
         "from spexlab.recognition import is_planar\n"
         "from spexlab.search import SearchConfig, exhaustive_spex\n"
         "from spexlab.spectral import spectral_radius\n"
@@ -322,7 +322,7 @@ def test_default_paths_leave_networkx_unimported():
         "for spec in ('C4', 'B1x5', 'B2x3', 'M2', 'M30'):\n"
         "    is_free(g, ForbiddenSpec.parse(spec))\n"
         "assert 'networkx' not in sys.modules\n"
-        "assert not is_planar(complete(5)).planar\n"
+        "assert not is_planar(complete_bipartite(3, 3)).planar\n"
     )
     assert "'networkx'" in _modules_after(code, "networkx")
 
